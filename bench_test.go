@@ -10,6 +10,7 @@
 package selthrottle_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"selthrottle/internal/power"
 	"selthrottle/internal/prog"
 	"selthrottle/internal/sim"
+	"selthrottle/internal/store"
 )
 
 // benchOpts returns a reduced-scale options set: large enough for stable
@@ -392,4 +394,68 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	insts := float64(cfg.Instructions+cfg.Warmup) * float64(b.N)
 	b.ReportMetric(insts/b.Elapsed().Seconds(), "sim_instrs/s")
+}
+
+// BenchmarkPointKey measures content-addressing one grid point: the
+// canonicalization and SHA-256 every disk-tier lookup and publish, every
+// sharded worker's ownership filter and every stserve point request pays
+// before touching the store. It cycles through the `-exp all` grid so every
+// profile, policy, depth and table size is keyed.
+func BenchmarkPointKey(b *testing.B) {
+	pts, err := sim.EnumerateGrid("all", "", sim.Options{Instructions: 10000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := &pts[i%len(pts)]
+		pointKeySink = sim.PointKey(g.Cfg, g.Profile)
+	}
+}
+
+// pointKeySink keeps BenchmarkPointKey's result observable.
+var pointKeySink store.Key
+
+// BenchmarkDiskTierHit measures one ResultCache lookup served by the disk
+// tier: key derivation, the store read and the codec decode, with nothing
+// simulated. The store is filled once; the memory tier is cleared (untimed)
+// before every pass over the stored points, so each timed lookup misses
+// memory and hits disk.
+func BenchmarkDiskTierHit(b *testing.B) {
+	st, err := store.Open(b.TempDir(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts, err := sim.EnumerateGrid("table2", "", sim.Options{Instructions: 2000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := sim.NewResultCache()
+	c.SetDisk(st)
+	r := sim.NewRunner()
+	ctx := context.Background()
+	for _, g := range pts {
+		if _, err := c.RunE(ctx, r, g.Cfg, g.Profile); err != nil {
+			b.Fatal(err)
+		}
+	}
+	c.Clear()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(pts)
+		if k == 0 && i > 0 {
+			b.StopTimer()
+			c.Clear()
+			b.StartTimer()
+		}
+		if _, err := c.RunE(ctx, r, pts[k].Cfg, pts[k].Profile); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if ts := c.TierStats(); ts.MemMisses != 0 || ts.DiskHits == 0 {
+		b.Fatalf("lookups were not disk hits: %+v", ts)
+	}
 }

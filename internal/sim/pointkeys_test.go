@@ -13,8 +13,9 @@ import (
 )
 
 // updatePointKeys regenerates testdata/pointkeys.tsv from the current key
-// derivation. A regeneration changes every persisted store's addresses, so
-// it must come with a diskKeySchema bump and a note in CHANGES.md:
+// derivation. Regenerate only when the grid or the keys change on purpose:
+// changed keys re-address every persisted store and need a diskKeySchema
+// bump in the same change. Note every regeneration in CHANGES.md.
 //
 //	go test ./internal/sim -run TestPointKeysGolden -update
 var updatePointKeys = flag.Bool("update", false, "rewrite testdata/pointkeys.tsv from the current key derivation")
@@ -79,7 +80,7 @@ func TestPointKeysGolden(t *testing.T) {
 	}
 	f, err := os.Open(pointKeysFile)
 	if err != nil {
-		t.Fatalf("%v (regenerate with -update only alongside a diskKeySchema bump)", err)
+		t.Fatalf("%v (see updatePointKeys before regenerating with -update)", err)
 	}
 	defer f.Close()
 	var want []string
