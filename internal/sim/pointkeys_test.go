@@ -12,13 +12,14 @@ import (
 	"testing"
 )
 
-// updatePointKeys regenerates testdata/pointkeys.tsv from the current key
-// derivation. Regenerate only when the grid or the keys change on purpose:
-// changed keys re-address every persisted store and need a diskKeySchema
-// bump in the same change. Note every regeneration in CHANGES.md.
+// update regenerates the golden tables under testdata from the current code.
+// Regenerate testdata/pointkeys.tsv only when the grid or the keys change on
+// purpose: changed keys re-address every persisted store and need a
+// diskKeySchema bump in the same change. Note every regeneration in
+// CHANGES.md.
 //
 //	go test ./internal/sim -run TestPointKeysGolden -update
-var updatePointKeys = flag.Bool("update", false, "rewrite testdata/pointkeys.tsv from the current key derivation")
+var update = flag.Bool("update", false, "rewrite the golden tables under testdata from the current code")
 
 const pointKeysFile = "testdata/pointkeys.tsv"
 
@@ -63,7 +64,7 @@ const pointKeysHeader = "# exp\tindex\tpolicy\testimator\tprofile\tdepth\tkb\tke
 // collide), so the key derivation changed without a schema bump.
 func TestPointKeysGolden(t *testing.T) {
 	rows := pointKeyRows(t)
-	if *updatePointKeys {
+	if *update {
 		var b bytes.Buffer
 		fmt.Fprintf(&b, "%s\n", pointKeysHeader)
 		for _, r := range rows {
@@ -80,7 +81,7 @@ func TestPointKeysGolden(t *testing.T) {
 	}
 	f, err := os.Open(pointKeysFile)
 	if err != nil {
-		t.Fatalf("%v (see updatePointKeys before regenerating with -update)", err)
+		t.Fatalf("%v (see update before regenerating with -update)", err)
 	}
 	defer f.Close()
 	var want []string
