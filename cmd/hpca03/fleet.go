@@ -45,15 +45,13 @@ func runFleet(ctx context.Context, targets, storeDir, exp, id, bench string, opt
 		return err
 	}
 	spec := fleet.GridSpec{
-		Exp:               exp,
-		ID:                id,
-		N:                 opts.Instructions,
-		Warmup:            opts.Warmup,
-		Depth:             opts.Depth,
-		KB:                (opts.PredBytes + opts.ConfBytes) / 1024,
-		Bench:             bench,
-		LegacyFrontEnd:    opts.LegacyFrontEnd,
-		LegacyEventLedger: opts.LegacyEventLedger,
+		Exp:    exp,
+		ID:     id,
+		N:      opts.Instructions,
+		Warmup: opts.Warmup,
+		Depth:  opts.Depth,
+		KB:     (opts.PredBytes + opts.ConfBytes) / 1024,
+		Bench:  bench,
 	}
 	fmt.Fprintf(os.Stderr, "hpca03: dispatching %d points to %d fleet worker(s) (grid %s)\n",
 		len(points), len(workers), grid.ID(points))

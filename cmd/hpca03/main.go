@@ -6,7 +6,6 @@
 //
 //	hpca03 -exp <experiment> [-n instructions] [-warmup instructions]
 //	       [-depth stages] [-kb totalKB] [-bench name]
-//	       [-legacyfrontend] [-legacyledger]
 //	       [-store dir] [-workers n] [-fleet host1,host2]
 //	       [-cpuprofile file] [-memprofile file]
 //
@@ -60,8 +59,6 @@ func run() int {
 	kb := flag.Int("kb", 16, "total predictor+estimator budget in KB (split half/half)")
 	bench := flag.String("bench", "", "restrict to a comma-separated list of benchmarks")
 	verbose := flag.Bool("v", false, "print the process-wide result-cache reuse summary at exit")
-	legacyFront := flag.Bool("legacyfrontend", false, "simulate on the two-ring reference front end (diagnostics; output is byte-identical)")
-	legacyLedger := flag.Bool("legacyledger", false, "simulate on the per-instruction power-attribution reference instead of the epoch ledgers (diagnostics; output is byte-identical)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	storeDir := flag.String("store", "", "persistent result store directory (crash-safe disk cache tier; empty = memory only)")
@@ -140,13 +137,11 @@ func run() int {
 	defer stopSignals()
 
 	opts := sim.Options{
-		Instructions:      *n,
-		Warmup:            *warmup,
-		Depth:             *depth,
-		PredBytes:         *kb * 1024 / 2,
-		ConfBytes:         *kb * 1024 / 2,
-		LegacyFrontEnd:    *legacyFront,
-		LegacyEventLedger: *legacyLedger,
+		Instructions: *n,
+		Warmup:       *warmup,
+		Depth:        *depth,
+		PredBytes:    *kb * 1024 / 2,
+		ConfBytes:    *kb * 1024 / 2,
 	}
 	if *bench != "" {
 		var ps []prog.Profile

@@ -1,6 +1,6 @@
 // Command stlint is the simulator's static-analysis gate: a multichecker
 // over internal/lint's analyzer suite (barepanic, fsseam, determinism,
-// hotalloc, legacypair), speaking the `go vet -vettool` protocol.
+// hotalloc), speaking the `go vet -vettool` protocol.
 //
 // Usage:
 //

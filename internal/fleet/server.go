@@ -42,9 +42,6 @@ type GridSpec struct {
 	Depth  int    // pipeline depth in stages
 	KB     int    // total predictor+estimator budget in KB
 	Bench  string // comma-separated benchmark subset ("" = all)
-
-	LegacyFrontEnd    bool
-	LegacyEventLedger bool
 }
 
 // SimOptions expands the spec into simulation options, validating ranges.
@@ -59,13 +56,11 @@ func (g GridSpec) SimOptions() (sim.Options, error) {
 		return sim.Options{}, fmt.Errorf("fleet: grid spec: bad kb %d (want 1..1024)", g.KB)
 	}
 	opts := sim.Options{
-		Instructions:      g.N,
-		Warmup:            g.Warmup,
-		Depth:             g.Depth,
-		PredBytes:         g.KB * 1024 / 2,
-		ConfBytes:         g.KB * 1024 / 2,
-		LegacyFrontEnd:    g.LegacyFrontEnd,
-		LegacyEventLedger: g.LegacyEventLedger,
+		Instructions: g.N,
+		Warmup:       g.Warmup,
+		Depth:        g.Depth,
+		PredBytes:    g.KB * 1024 / 2,
+		ConfBytes:    g.KB * 1024 / 2,
 	}
 	if g.Bench != "" {
 		var ps []prog.Profile
@@ -97,23 +92,15 @@ func (g GridSpec) Query() url.Values {
 	if g.Bench != "" {
 		q.Set("bench", g.Bench)
 	}
-	if g.LegacyFrontEnd {
-		q.Set("legacyfrontend", "1")
-	}
-	if g.LegacyEventLedger {
-		q.Set("legacyledger", "1")
-	}
 	return q
 }
 
 // gridSpecFrom parses a spec out of request parameters.
 func gridSpecFrom(q url.Values) (GridSpec, error) {
 	g := GridSpec{
-		Exp:               q.Get("exp"),
-		ID:                q.Get("id"),
-		Bench:             q.Get("bench"),
-		LegacyFrontEnd:    q.Get("legacyfrontend") == "1",
-		LegacyEventLedger: q.Get("legacyledger") == "1",
+		Exp:   q.Get("exp"),
+		ID:    q.Get("id"),
+		Bench: q.Get("bench"),
 	}
 	if g.Exp == "" {
 		return g, fmt.Errorf("missing exp parameter")

@@ -248,38 +248,17 @@ func TestComputeServerAdmission(t *testing.T) {
 	}
 }
 
-// TestGridSpecLegacyFlagsRoundTrip: the identity flags survive the wire —
-// a spec carrying LegacyFrontEnd/LegacyEventLedger encodes them into the
-// query, parses back identically, and forwards them into sim.Options, so a
-// fleet-served legacy-mode run exercises the same reference paths as a
-// local one.
-func TestGridSpecLegacyFlagsRoundTrip(t *testing.T) {
+// TestGridSpecRoundTrip: a spec survives the wire — it encodes into the
+// query and parses back identically, so a fleet worker enumerates exactly
+// the coordinator's grid.
+func TestGridSpecRoundTrip(t *testing.T) {
 	spec := testSpec(6300)
-	spec.LegacyFrontEnd = true
-	spec.LegacyEventLedger = true
-
 	back, err := gridSpecFrom(spec.Query())
 	if err != nil {
 		t.Fatalf("gridSpecFrom: %v", err)
 	}
 	if back != spec {
 		t.Fatalf("spec did not round-trip: got %+v, want %+v", back, spec)
-	}
-	opts, err := spec.SimOptions()
-	if err != nil {
-		t.Fatalf("SimOptions: %v", err)
-	}
-	if !opts.LegacyFrontEnd || !opts.LegacyEventLedger {
-		t.Fatalf("legacy flags not forwarded into sim.Options: %+v", opts)
-	}
-
-	// And a plain spec must leave both off.
-	plain, err := testSpec(6300).SimOptions()
-	if err != nil {
-		t.Fatalf("SimOptions: %v", err)
-	}
-	if plain.LegacyFrontEnd || plain.LegacyEventLedger {
-		t.Fatalf("legacy flags set on a plain spec: %+v", plain)
 	}
 }
 

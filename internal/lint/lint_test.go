@@ -48,11 +48,3 @@ func TestDeterminismOutOfScope(t *testing.T) {
 func TestHotAlloc(t *testing.T) {
 	runFixture(t, HotAlloc, fixture("hotalloc"), "selthrottle/internal/lint/testdata/hotalloc")
 }
-
-func TestLegacyPair(t *testing.T) {
-	runFixture(t, LegacyPair, fixture("legacypair", "pair"), "selthrottle/internal/lint/testdata/pair")
-}
-
-func TestLegacyPairNoTests(t *testing.T) {
-	runFixture(t, LegacyPair, fixture("legacypair", "notests"), "selthrottle/internal/lint/testdata/notests")
-}

@@ -4,9 +4,9 @@ package pipe
 //
 // The in-order front end is a pair of pure fixed-latency delays (fetch and
 // decode pipes) whose only interesting events are group boundaries,
-// back-pressure, and squash. The historical implementation moved every
-// instruction through two per-instruction rings (fetchQ, decodeQ); the fused
-// front end keeps one ring and a cursor:
+// back-pressure, and squash. Rather than move every instruction through a
+// fetch queue and then a decode queue, the fused front end keeps one ring
+// and a cursor:
 //
 //   - fetch forms a whole group per I-cache access — up to FetchWidth
 //     instructions, truncated by taken-branch limits, BTB-miss redirects,
@@ -23,16 +23,13 @@ package pipe
 //   - dispatch pops from the ring head while the prefix is non-empty.
 //
 // The two logical segments (fetched-undecoded, decoded-undispatched) are
-// bounded by the same capacities the two rings had, so back-pressure
-// behaviour is identical, and a flush squashes the whole ring back to front
-// — exactly the youngest-to-oldest order of the legacy path's two queue
-// drains, which the checkpoint free list observes. The rings survive behind
-// Config.LegacyFrontEnd as the bit-identity reference, and CheckInvariants
-// cross-validates the cursor bookkeeping against the resident instructions.
+// bounded by their own capacities (fetchCap, decodeCap), so each pipe
+// back-pressures the one before it, and a flush squashes the whole ring
+// back to front — youngest to oldest, the order the checkpoint free list
+// observes. CheckInvariants validates the cursor bookkeeping against the
+// resident instructions.
 
 import (
-	"fmt"
-
 	"selthrottle/internal/core"
 	"selthrottle/internal/isa"
 	"selthrottle/internal/power"
@@ -45,11 +42,9 @@ func (p *Pipeline) fetchSegLen() int { return p.frontQ.Len() - p.decoded }
 // ---------------------------------------------------------------- fetch --
 
 // fetchFused forms one fetch group per I-cache access and appends it to the
-// delay line. The instruction stream, predictor/BTB/RAS interaction order,
-// power events, and statistics are bit-identical to the legacy two-ring
-// fetch: the walker batches only straight-line runs (NextGroup stops after
-// every control transfer), so each control instruction is predicted and
-// steered at exactly the point the per-instruction loop would have reached
+// delay line. The walker batches only straight-line runs (NextGroup stops
+// after every control transfer), so each control instruction is predicted
+// and steered at exactly the point a per-instruction fetch loop would reach
 // it.
 //
 //st:hotpath
@@ -57,20 +52,9 @@ func (p *Pipeline) fetchFused() {
 	if p.faultArmed {
 		p.stageFault(StageFetch)
 	}
-	dbg := p.dbgFetchArmed && p.cycle >= p.dbgFetchLo && p.cycle < p.dbgFetchHi
 	if p.fetchHeld || p.cycle < p.fetchResumeAt {
-		if dbg {
-			//st:alloc-ok — debug-only path, armed by SetDebugFetchWindow, off in production
-			fmt.Printf("  f@%d held=%v resumeAt=%d\n", p.cycle, p.fetchHeld, p.fetchResumeAt)
-		}
 		p.Stats.FetchIdleHeld++
 		return
-	}
-	if dbg {
-		//st:alloc-ok — debug-only path, armed by SetDebugFetchWindow, off in production
-		defer func() {
-			fmt.Printf("  f@%d fetchQ=%d decodeQ=%d window=%d\n", p.cycle, p.fetchSegLen(), p.decoded, p.window.Len())
-		}()
 	}
 	rate := p.ctrl.FetchRate()
 	if !rate.ActiveAt(uint64(p.cycle)) {
@@ -80,7 +64,7 @@ func (p *Pipeline) fetchFused() {
 	}
 	// Back-pressure gates on the capacity actually available (the group is
 	// truncated to the space left); only a completely full fetch segment
-	// idles fetch. Mirrors the legacy path's check exactly.
+	// idles fetch.
 	width := p.cfg.FetchWidth
 	if avail := p.fetchCap - p.fetchSegLen(); avail < width {
 		if avail == 0 {
@@ -116,10 +100,6 @@ func (p *Pipeline) fetchFused() {
 			in.d.WrongPath = wrong
 			in.enterDecode = enterDecode
 			in.epoch = epoch
-			if p.legacyLedger {
-				in.lev.ev[power.UnitICache]++
-				in.lev.mask |= 1 << uint(power.UnitICache)
-			}
 			p.frontQ.PushBack(in)
 		}
 		// One ledger add and one tally add per group: every member shares
@@ -165,9 +145,14 @@ func (p *Pipeline) fetchFused() {
 // --------------------------------------------------------------- decode --
 
 // decodeFused moves up to DecodeWidth instructions across the fetch/decode
-// boundary by advancing the decoded cursor; per-instruction gates (throttle
-// rates, the oracle-decode limit study) and power accounting match the
-// legacy stage exactly.
+// boundary by advancing the decoded cursor, under the per-instruction gates
+// (throttle rates, the oracle-decode limit study). It stamps each
+// instruction's dispatch-readiness cycle, caches its functional-unit class,
+// latency and memory-op flags (so the issue and execute stages stop
+// consulting the opcode tables on every visit), and accounts the decode
+// power events: Wattch counts rename, register-file operand reads, and the
+// RUU entry write at the decode stage (the paper's footnotes 2-3), so
+// instructions squashed after decoding carry this wasted energy.
 //
 //st:hotpath
 func (p *Pipeline) decodeFused() {
@@ -203,12 +188,6 @@ func (p *Pipeline) decodeFused() {
 		if oracleDecode && in.d.WrongPath {
 			break // limit study: wrong-path instructions stall at decode
 		}
-		// Per-instruction decode work, mirroring decodeOne (the legacy
-		// stage's form). Deliberate duplication: the body is beyond the
-		// inliner's budget and interleaved A/B measured the extracted-call
-		// version ~2% slower end to end; the identity and randomized
-		// accounting tests pin the two copies to each other on every
-		// profile, policy, width, and depth.
 		in.enterWindow = p.cycle + int64(p.cfg.DecodeStages)
 		op := in.d.St.Op
 		in.fuKind = uint8(op.FU())
@@ -235,20 +214,6 @@ func (p *Pipeline) decodeFused() {
 			led[power.UnitLSQ]++
 			lsqN++
 		}
-		if p.legacyLedger {
-			lv := in.lev
-			lv.ev[power.UnitRename]++
-			lv.ev[power.UnitWindow]++
-			lv.mask |= 1<<uint(power.UnitRename) | 1<<uint(power.UnitWindow)
-			if regs > 0 {
-				lv.ev[power.UnitRegfile] += uint8(regs)
-				lv.mask |= 1 << uint(power.UnitRegfile)
-			}
-			if in.memOp {
-				lv.ev[power.UnitLSQ]++
-				lv.mask |= 1 << uint(power.UnitLSQ)
-			}
-		}
 		if in.d.WrongPath {
 			p.Stats.WrongPathDecoded++
 		}
@@ -263,8 +228,9 @@ func (p *Pipeline) decodeFused() {
 // ------------------------------------------------------------- dispatch --
 
 // dispatchFused inserts decoded instructions into the window from the delay
-// line's head. Decode is strictly in order, so the decoded prefix always
-// starts at the ring head.
+// line's head (decode is strictly in order, so the decoded prefix always
+// starts at the ring head): rename, LSQ/window insertion, barrier capture,
+// and the event-issue bookkeeping.
 //
 //st:hotpath
 func (p *Pipeline) dispatchFused() {
@@ -282,19 +248,18 @@ func (p *Pipeline) dispatchFused() {
 		}
 		p.frontQ.PopFront()
 		p.decoded--
-		// Per-instruction dispatch work, mirroring dispatchOne (the legacy
-		// stage's form) — deliberate, measured duplication for the same
-		// reason as the decode body above; the identity tests pin the
-		// copies.
+		// Rename: bind sources to in-flight producers. The associated
+		// power events were counted at the decode stage. Each bound
+		// producer is by construction incomplete, so registering on its
+		// wakeup list guarantees exactly one completion (or a shared
+		// squash) per bound operand.
 		nsrc := 0
 		if r := in.d.St.Src1; r != isa.RegNone {
 			if prod := p.regs[r]; prod != nil && !prod.done {
 				in.srcs[0] = prod
 				in.srcSeq[0] = prod.d.Seq
 				nsrc = 1
-				if p.eventIssue {
-					prod.deps = append(prod.deps, instRef{in, in.d.Seq})
-				}
+				prod.deps = append(prod.deps, instRef{in, in.d.Seq})
 			}
 		}
 		if r := in.d.St.Src2; r != isa.RegNone {
@@ -302,9 +267,7 @@ func (p *Pipeline) dispatchFused() {
 				in.srcs[nsrc] = prod
 				in.srcSeq[nsrc] = prod.d.Seq
 				nsrc++
-				if p.eventIssue {
-					prod.deps = append(prod.deps, instRef{in, in.d.Seq})
-				}
+				prod.deps = append(prod.deps, instRef{in, in.d.Seq})
 			}
 		}
 		if d := in.d.St.Dest; d != isa.RegNone {
@@ -325,19 +288,21 @@ func (p *Pipeline) dispatchFused() {
 			}
 		}
 		in.wpos = int32(p.window.backSlot())
-		if p.eventIssue {
-			in.nwait = uint8(nsrc)
-			if nsrc == 0 {
-				p.setReady(in)
-			} else {
-				p.clearReady(in)
-			}
-			if in.hasBarrier {
-				p.barrierQ = append(p.barrierQ, instRef{in, in.d.Seq})
-			}
-			if in.storeOp {
-				p.storeQ = append(p.storeQ, instRef{in, in.d.Seq})
-			}
+		// Binding only captures incomplete producers, so readiness at
+		// dispatch is exactly "nothing was bound". The slot's previous
+		// occupant left its bit clear, but write both ways so dispatch
+		// re-establishes the bitmap invariant unconditionally.
+		in.nwait = uint8(nsrc)
+		if nsrc == 0 {
+			p.setReady(in)
+		} else {
+			p.clearReady(in)
+		}
+		if in.hasBarrier {
+			p.barrierQ = append(p.barrierQ, instRef{in, in.d.Seq})
+		}
+		if in.storeOp {
+			p.storeQ = append(p.storeQ, instRef{in, in.d.Seq})
 		}
 		p.window.PushBack(in)
 	}
@@ -346,8 +311,7 @@ func (p *Pipeline) dispatchFused() {
 // --------------------------------------------------------------- squash --
 
 // flushFrontFused squashes every undispatched instruction in the delay line,
-// youngest first — the same global order the legacy path's back-to-front
-// queue drains produce, which the checkpoint free-list ordering observes.
+// youngest first — the order the checkpoint free list observes.
 func (p *Pipeline) flushFrontFused() {
 	for p.frontQ.Len() > 0 {
 		p.squash(p.frontQ.PopBack())

@@ -3,9 +3,7 @@ package pipe
 import (
 	"testing"
 
-	"selthrottle/internal/conf"
 	"selthrottle/internal/core"
-	"selthrottle/internal/xrand"
 )
 
 // TestFetchBackPressureUsesActualCapacity is the regression test for the
@@ -16,98 +14,29 @@ import (
 // free (truncating the group to the space left) and the idle counter
 // increments exactly on the cycles with zero free capacity. The test drives
 // fetch alone — decode never runs, so back-pressure is guaranteed — and
-// pins the counter against the capacity rule cycle by cycle, on both front
-// ends.
+// pins the counter against the capacity rule cycle by cycle.
 func TestFetchBackPressureUsesActualCapacity(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		pl := build(t, "go", core.Baseline(), nil, core.OracleNone)
-		pl.cfg.LegacyFrontEnd = legacy
-		pl.fusedFront = !legacy
-
-		frontLen := func() int { return pl.frontFetchLen() }
-		var wantIdle uint64
-		for i := 0; i < 4*pl.fetchCap; i++ {
-			held := pl.fetchHeld || pl.cycle < pl.fetchResumeAt
-			full := frontLen() == pl.fetchCap
-			if !held && full {
-				wantIdle++
-			}
-			if legacy {
-				pl.fetch()
-			} else {
-				pl.fetchFused()
-			}
-			if frontLen() > pl.fetchCap {
-				t.Fatalf("legacy=%v: fetch segment overfilled: %d > %d", legacy, frontLen(), pl.fetchCap)
-			}
-			pl.cycle++
+	pl := build(t, "go", core.Baseline(), nil, core.OracleNone)
+	var wantIdle uint64
+	for i := 0; i < 4*pl.fetchCap; i++ {
+		held := pl.fetchHeld || pl.cycle < pl.fetchResumeAt
+		full := pl.fetchSegLen() == pl.fetchCap
+		if !held && full {
+			wantIdle++
 		}
-		if got := pl.Stats.FetchIdleBackPressure; got != wantIdle {
-			t.Errorf("legacy=%v: FetchIdleBackPressure = %d, capacity rule implies %d", legacy, got, wantIdle)
+		pl.fetchFused()
+		if pl.fetchSegLen() > pl.fetchCap {
+			t.Fatalf("fetch segment overfilled: %d > %d", pl.fetchSegLen(), pl.fetchCap)
 		}
-		if frontLen() != pl.fetchCap {
-			t.Errorf("legacy=%v: fetch segment settled at %d, want completely full (%d)",
-				legacy, frontLen(), pl.fetchCap)
-		}
-		if wantIdle == 0 {
-			t.Errorf("legacy=%v: test never reached back-pressure", legacy)
-		}
+		pl.cycle++
 	}
-}
-
-// TestFusedSquashAccountingMatchesLegacy is the randomized fused-vs-legacy
-// squash-ordering net: random structural shapes and throttling policies are
-// run on both front ends, with mispredictions landing while groups straddle
-// the fetch/decode boundary, and the full statistics plus the pool and
-// checkpoint-arena accounting must agree exactly. A squash-order divergence
-// shows up immediately in the checkpoint free list (handles are recycled
-// LIFO, so order changes handle assignment and the arena high-water) and in
-// the per-unit wasted-power totals.
-func TestFusedSquashAccountingMatchesLegacy(t *testing.T) {
-	rng := xrand.New(0x5005)
-	profiles := []string{"go", "gcc", "twolf", "parser"}
-	policies := []core.Policy{
-		core.Baseline(),
-		core.Selective("c2", core.Spec{Fetch: core.RateQuarter, NoSelect: true}, core.Spec{Fetch: core.RateStall}),
-		core.Selective("dec", core.Spec{Fetch: core.RateHalf, Decode: core.RateQuarter}, core.Spec{Decode: core.RateStall}),
-		core.PipelineGating(2),
+	if got := pl.Stats.FetchIdleBackPressure; got != wantIdle {
+		t.Errorf("FetchIdleBackPressure = %d, capacity rule implies %d", got, wantIdle)
 	}
-	for trial := 0; trial < 12; trial++ {
-		bench := profiles[rng.Intn(len(profiles))]
-		policy := policies[rng.Intn(len(policies))]
-		depth := 6 + 2*rng.Intn(12)
-		run := func(legacyFront bool) (Stats, [2]uint64, [3]int) {
-			est := conf.Estimator(conf.NewBPRU(4 << 10))
-			if policy.Gating {
-				est = conf.NewJRS(4<<10, 12)
-			}
-			pl := build(t, bench, policy, est, core.OracleNone)
-			pl.cfg.SetDepth(depth)
-			pl.cfg.LegacyFrontEnd = legacyFront
-			pl.cfg.StuckCycles = 20000
-			// Rebuild with the mutated config so capacities and mode match.
-			pl = New(pl.cfg, pl.walker, pl.pred, pl.est, pl.ctrl, pl.meter)
-			pl.Run(6000)
-			if err := pl.CheckInvariants(); err != nil {
-				t.Fatalf("trial %d legacy=%v: %v", trial, legacyFront, err)
-			}
-			allocs, reuses := pl.PoolStats()
-			leased, capacity, hw := pl.walker.CkptStats()
-			return pl.Stats, [2]uint64{allocs, reuses}, [3]int{leased, capacity, hw}
-		}
-		fStats, fPool, fCkpt := run(false)
-		lStats, lPool, lCkpt := run(true)
-		if fStats != lStats {
-			t.Errorf("trial %d (%s/%s/depth %d): stats diverged:\n fused:  %+v\n legacy: %+v",
-				trial, bench, policy.Name, depth, fStats, lStats)
-		}
-		if fPool != lPool {
-			t.Errorf("trial %d (%s/%s/depth %d): pool accounting diverged: fused %v, legacy %v",
-				trial, bench, policy.Name, depth, fPool, lPool)
-		}
-		if fCkpt != lCkpt {
-			t.Errorf("trial %d (%s/%s/depth %d): checkpoint accounting diverged: fused %v, legacy %v",
-				trial, bench, policy.Name, depth, fCkpt, lCkpt)
-		}
+	if pl.fetchSegLen() != pl.fetchCap {
+		t.Errorf("fetch segment settled at %d, want completely full (%d)", pl.fetchSegLen(), pl.fetchCap)
+	}
+	if wantIdle == 0 {
+		t.Error("test never reached back-pressure")
 	}
 }

@@ -60,24 +60,6 @@ func randomTrials(seed uint64) []trial {
 	return trials
 }
 
-// refMode selects the simulator's reference implementations.
-type refMode struct{ scan, front, ledger, walk bool }
-
-// refModes are the fast path, each reference alone, and all of them.
-var refModes = []refMode{{}, {scan: true}, {front: true}, {ledger: true}, {walk: true}, {true, true, true, true}}
-
-func (m refMode) build(t *testing.T, bench string, policy core.Policy, shape func(*Config)) (*Pipeline, *power.Meter) {
-	pl, meter := buildLedger(t, bench, policy, m.ledger, func(c *Config) {
-		c.LegacyScanIssue = m.scan
-		c.LegacyFrontEnd = m.front
-		if shape != nil {
-			shape(c)
-		}
-	})
-	pl.walker.SetLegacy(m.walk)
-	return pl, meter
-}
-
 // stateDigest digests everything the randomized trials compare: the
 // statistics, the meter's per-unit useful and wasted totals, and the pool,
 // checkpoint and epoch accounting.
@@ -90,8 +72,8 @@ func stateDigest(pl *Pipeline, meter *power.Meter) string {
 }
 
 // runTrial runs one trial and digests its end state.
-func runTrial(t *testing.T, tr trial, m refMode) string {
-	pl, meter := m.build(t, tr.bench, tr.policy, func(c *Config) {
+func runTrial(t *testing.T, tr trial) string {
+	pl, meter := buildLedger(t, tr.bench, tr.policy, func(c *Config) {
 		c.SetDepth(tr.depth)
 		c.StuckCycles = 20000
 	})
@@ -115,34 +97,22 @@ func drainWithStragglers(pl *Pipeline) {
 }
 
 // TestRandomizedTrialsGolden runs every row of testdata/trials.tsv once and
-// compares its state digest. With -update it regenerates the table, writing
-// a row only when every refModes implementation gives the same digest.
+// compares its state digest. The table was first generated while the
+// pipeline still carried its reference implementations (the scan issue
+// stage, the two-ring front end and the per-instruction power ledger) and
+// the walker its float-threshold form; a row was written only when the fast
+// path, each reference alone and all of them together gave the same digest.
+// A failure is a behaviour change: a machine shape now ends in a different
+// state.
 func TestRandomizedTrialsGolden(t *testing.T) {
-	modes := refModes[:1]
-	if *update {
-		modes = refModes
-	}
-	agree := func(name string, digest func(refMode) string) string {
-		want := digest(modes[0])
-		for _, m := range modes[1:] {
-			if got := digest(m); got != want {
-				t.Fatalf("%s: reference mode %+v digests %s, fast path %s", name, m, got, want)
-			}
-		}
-		return want
-	}
 	var rows []string
 	for _, seed := range []uint64{0xE90C, 0x5005} {
 		for i, tr := range randomTrials(seed) {
-			name := fmt.Sprintf("%#x\t%d\t%s/%s/%d", seed, i, tr.bench, tr.policy.Name, tr.depth)
-			rows = append(rows, name+"\t"+agree(name, func(m refMode) string { return runTrial(t, tr, m) }))
+			rows = append(rows, fmt.Sprintf("%#x\t%d\t%s/%s/%d\t%s", seed, i, tr.bench, tr.policy.Name, tr.depth, runTrial(t, tr)))
 		}
 	}
-	name := "stragglers\t-\tgo/baseline/14"
-	rows = append(rows, name+"\t"+agree(name, func(m refMode) string {
-		pl, meter := m.build(t, "go", core.Baseline(), nil)
-		drainWithStragglers(pl)
-		return stateDigest(pl, meter)
-	}))
+	pl, meter := buildLedger(t, "go", core.Baseline(), nil)
+	drainWithStragglers(pl)
+	rows = append(rows, "stragglers\t-\tgo/baseline/14\t"+stateDigest(pl, meter))
 	golden.Check(t, trialsFile, trialsHeader, rows, *update)
 }

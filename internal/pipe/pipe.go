@@ -19,9 +19,9 @@
 // # Event-driven wakeup
 //
 // The issue stage is event-driven rather than a per-cycle scan of the whole
-// window. The bookkeeping and its invariants (enforced by CheckInvariants,
-// and by construction bit-identical to the historical scan — Config's
-// LegacyScanIssue retains the scan as a cross-checkable reference):
+// window. The bookkeeping and its invariants (enforced by CheckInvariants;
+// the selection order is the historical scan's, and the golden digests under
+// testdata and internal/sim/testdata pin it):
 //
 //   - Dependent registration: at dispatch, an instruction whose source is an
 //     in-flight, incomplete producer appends itself to that producer's deps
@@ -62,7 +62,6 @@
 package pipe
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 
@@ -105,29 +104,6 @@ type Config struct {
 	// (ablation/diagnostic; the default address-matching model is the
 	// realistic one).
 	PerfectDisambiguation bool
-
-	// LegacyScanIssue selects the historical O(window) wakeup/select scan
-	// instead of the event-driven issue stage. The two produce bit-identical
-	// simulations; the scan survives as the reference implementation for the
-	// identity regression tests and as a diagnostic fallback.
-	LegacyScanIssue bool
-
-	// LegacyFrontEnd selects the historical two-ring front end (separate
-	// per-instruction fetch and decode queues) instead of the fused
-	// delay line that carries whole fetch groups (see frontend.go). The two
-	// produce bit-identical simulations; the rings survive as the reference
-	// implementation for the identity regression tests, mirroring
-	// LegacyScanIssue and sim.Config's LegacyWalk.
-	LegacyFrontEnd bool
-
-	// LegacyEventLedger selects the historical per-instruction power
-	// attribution (a per-unit event table on every in-flight instruction,
-	// folded into the wasted pool one instruction at a time on squash)
-	// instead of the per-speculation-epoch ledgers (see ledger.go). The two
-	// produce bit-identical simulations; the per-instruction scheme survives
-	// as the reference implementation for the identity regression tests,
-	// the established pattern of LegacyScanIssue/LegacyFrontEnd/LegacyWalk.
-	LegacyEventLedger bool
 
 	// StuckCycles is the no-commit cycle count after which RunE declares the
 	// machine deadlocked (Run panics with the same *RunError). Zero selects
@@ -238,13 +214,12 @@ type inst struct {
 	// the ready bitmap.
 	wpos int32
 
-	// nwait counts bound producers that have not completed yet (event-driven
-	// issue only). Dispatch sets it to the number of bound sources; each
-	// producer completion decrements it exactly once (a bound producer is
-	// always incomplete, so it either completes — firing the wakeup — or is
-	// squashed together with this younger dependent). Zero means ready,
-	// which CheckInvariants cross-validates against the pointer-chasing
-	// ready() below.
+	// nwait counts bound producers that have not completed yet. Dispatch
+	// sets it to the number of bound sources; each producer completion
+	// decrements it exactly once (a bound producer is always incomplete, so
+	// it either completes — firing the wakeup — or is squashed together
+	// with this younger dependent). Zero means ready, which CheckInvariants
+	// cross-validates against the pointer-chasing ready() below.
 	nwait uint8
 
 	// deps lists the window-resident consumers waiting on this
@@ -291,11 +266,6 @@ type inst struct {
 	// epoch closes (fold implies this instruction was squashed; retirement
 	// implies it committed).
 	epoch int32
-
-	// lev is the legacy per-instruction event table, allocated and
-	// maintained only under Config.LegacyEventLedger; nil and untouched on
-	// the fast path. Like deps, the allocation survives pool recycling.
-	lev *instEv
 }
 
 // instRef is a pool-safe reference to a dynamic instruction: the pointer is
@@ -385,22 +355,18 @@ type Pipeline struct {
 
 	cycle int64
 
-	fetchQ  *ring[*inst] // legacy front end only
-	decodeQ *ring[*inst] // legacy front end only
 	window  *ring[*inst]
 	lsqUsed int
 
-	// Fused front-end delay line (default; Config.LegacyFrontEnd selects the
-	// two-ring reference path above). Whole fetch groups flow through one
+	// Fused front-end delay line: whole fetch groups flow through one
 	// instruction ring; decode advances a boundary cursor instead of moving
 	// instructions between queues. See frontend.go for the structure and its
 	// invariants.
-	fusedFront bool
-	frontQ     *ring[*inst]   // the delay line: fetched, undispatched instructions
-	decoded    int            // length of frontQ's decoded prefix (the decode segment)
-	fetchCap   int            // fetch-segment capacity (== legacy fetchQ cap)
-	decodeCap  int            // decode-segment capacity (== legacy decodeQ cap)
-	fetchBuf   []prog.DynInst // scratch for walker NextGroup batches
+	frontQ    *ring[*inst]   // the delay line: fetched, undispatched instructions
+	decoded   int            // length of frontQ's decoded prefix (the decode segment)
+	fetchCap  int            // fetch-segment capacity
+	decodeCap int            // decode-segment capacity
+	fetchBuf  []prog.DynInst // scratch for walker NextGroup batches
 
 	regs [isa.NumRegs]*inst // speculative rename table
 
@@ -413,14 +379,10 @@ type Pipeline struct {
 	fetchHeldBySeq uint64 // oracle-fetch hold (0 = none)
 	fetchHeld      bool
 
-	unexecStores []uint64 // scratch for the legacy scan's memory disambiguation
-
-	// Event-driven issue state (unused under LegacyScanIssue). See the
-	// package comment for the invariants.
-	eventIssue bool
-	readyMask  []uint64  // per-window-slot bit: resident, ready, unissued
-	storeQ     []instRef // age-ordered in-flight (dispatched, incomplete) stores
-	barrierQ   []instRef // age-ordered unissued instructions carrying a no-select barrier
+	// Event-driven issue state. See the package comment for the invariants.
+	readyMask []uint64  // per-window-slot bit: resident, ready, unissued
+	storeQ    []instRef // age-ordered in-flight (dispatched, incomplete) stores
+	barrierQ  []instRef // age-ordered unissued instructions carrying a no-select barrier
 
 	// free is the instruction pool: retired and squashed instructions are
 	// recycled here and handed back out by fetch, so the steady-state cycle
@@ -439,9 +401,7 @@ type Pipeline struct {
 	// deferred flush is bit-identical to a per-cycle flush (see
 	// power.Meter.AddTally) while keeping the per-cycle cost to plain
 	// integer increments. wastedTally is the squash-side twin: flushAfter
-	// folds the squashed epochs' ledgers here with integer adds (or, under
-	// LegacyEventLedger, squash moves each dead instruction's events here
-	// one instruction at a time).
+	// folds the squashed epochs' ledgers here with integer adds.
 	tally       [power.NumUnits]uint64
 	wastedTally [power.NumUnits]uint64
 
@@ -449,30 +409,16 @@ type Pipeline struct {
 	// age order. curEpoch is the youngest epoch's slot (the one fetch binds
 	// new instructions to); nextRetire caches the oldest epoch's closing
 	// sequence number so commit's retirement check is one compare.
-	// legacyLedger mirrors cfg.LegacyEventLedger (hot-loop copy); under it
-	// the ledgers are shadow bookkeeping cross-checked by CheckInvariants.
-	epochBuf     []epochRec
-	epochHead    int32
-	epochCount   int32
-	curEpoch     int32
-	nextRetire   int64
-	epochHW      int
-	legacyLedger bool
+	epochBuf   []epochRec
+	epochHead  int32
+	epochCount int32
+	curEpoch   int32
+	nextRetire int64
+	epochHW    int
 
 	// CommitTrace, when set, is invoked for every committed instruction
 	// (diagnostics and tests).
 	CommitTrace func(seq, pc uint64, cycle int64)
-
-	// DebugFlushes, when non-empty, dumps every correct-path misprediction
-	// flush with the given label prefix (development diagnostics).
-	DebugFlushes string
-
-	// Verbose-fetch debug window, set via SetDebugFetchWindow. dbgFetchArmed
-	// is the hoisted gate the per-cycle fetch paths test: in the (default)
-	// disarmed state the hot loop pays one predictable bool check instead of
-	// re-deriving the window's validity and range every cycle.
-	dbgFetchLo, dbgFetchHi int64
-	dbgFetchArmed          bool
 
 	// faultArmed hoists the Config.Fault != nil test (set once in New): the
 	// per-cycle stage paths pay one predictable bool check when fault
@@ -488,8 +434,6 @@ type Pipeline struct {
 	// runTarget is the commit target of the RunE in progress, captured for
 	// failure snapshots.
 	runTarget uint64
-
-	flushCount int // counts true flushes for DebugFlushes selection
 
 	Stats Stats
 }
@@ -515,9 +459,6 @@ func New(cfg Config, w *prog.Walker, pred bpred.DirPredictor, est conf.Estimator
 	p.faultArmed = cfg.Fault != nil
 	p.fetchCap = cfg.FetchStages*cfg.FetchWidth + 2*cfg.FetchWidth
 	p.decodeCap = cfg.DecodeStages*cfg.DecodeWidth + 2*cfg.DecodeWidth
-	p.fetchQ = newRing[*inst](p.fetchCap)
-	p.decodeQ = newRing[*inst](p.decodeCap)
-	p.fusedFront = !cfg.LegacyFrontEnd
 	p.frontQ = newRing[*inst](p.fetchCap + p.decodeCap)
 	p.fetchBuf = make([]prog.DynInst, cfg.FetchWidth)
 	p.window = newRing[*inst](cfg.WindowSize)
@@ -528,20 +469,9 @@ func New(cfg Config, w *prog.Walker, pred bpred.DirPredictor, est conf.Estimator
 		// issue group up front; rare overflows grow once and stick.
 		p.compQ[i] = make([]*inst, 0, cfg.IssueWidth)
 	}
-	p.unexecStores = make([]uint64, 0, cfg.LSQSize)
-	p.eventIssue = !cfg.LegacyScanIssue
 	p.readyMask = make([]uint64, (p.window.Cap()+63)/64)
-	p.legacyLedger = cfg.LegacyEventLedger
 	p.initEpochs(p.fetchCap + p.decodeCap + cfg.WindowSize + 2)
 	return p
-}
-
-// SetDebugFetchWindow enables verbose fetch logging for cycles in [lo, hi)
-// (development diagnostics; lo >= hi disarms it). The armed flag is
-// precomputed here so the per-cycle fetch paths check a single bool.
-func (p *Pipeline) SetDebugFetchWindow(lo, hi int64) {
-	p.dbgFetchLo, p.dbgFetchHi = lo, hi
-	p.dbgFetchArmed = lo < hi
 }
 
 // Reset rewinds the pipeline to its just-constructed state and rebinds its
@@ -556,12 +486,6 @@ func (p *Pipeline) Reset(w *prog.Walker, pred bpred.DirPredictor, est conf.Estim
 	p.btb.Reset()
 	p.ras.Reset()
 	p.cycle = 0
-	for p.fetchQ.Len() > 0 {
-		p.freeInst(p.fetchQ.PopFront())
-	}
-	for p.decodeQ.Len() > 0 {
-		p.freeInst(p.decodeQ.PopFront())
-	}
 	for p.frontQ.Len() > 0 {
 		p.freeInst(p.frontQ.PopFront())
 	}
@@ -587,14 +511,12 @@ func (p *Pipeline) Reset(w *prog.Walker, pred bpred.DirPredictor, est conf.Estim
 	p.fetchResumeAt = 0
 	p.fetchHeldBySeq = 0
 	p.fetchHeld = false
-	p.unexecStores = p.unexecStores[:0]
 	clear(p.readyMask)
 	p.storeQ = p.storeQ[:0]
 	p.barrierQ = p.barrierQ[:0]
 	p.tally = [power.NumUnits]uint64{}
 	p.wastedTally = [power.NumUnits]uint64{}
 	p.resetEpochs()
-	p.flushCount = 0
 	p.canceled.Store(false)
 	p.Stats = Stats{}
 }
@@ -606,10 +528,9 @@ func (p *Pipeline) Reset(w *prog.Walker, pred bpred.DirPredictor, est conf.Estim
 //
 // Recycling resets only the fields a reader could see before a writer: the
 // lifecycle flags, the source bindings (dispatch binds at most two and the
-// rest must read as nil), the barrier flag (dispatch writes both arms), and
-// — under the legacy attribution scheme only — the per-instruction event
-// table. Everything else is written before it is read on every path — d by
-// Next, the epoch binding and prediction state by fetch (the only readers),
+// rest must read as nil) and the barrier flag (dispatch writes both arms).
+// Everything else is written before it is read on every path — d, the
+// epoch binding and prediction state by fetch (the only readers),
 // enter/timing fields and the fuKind/execLat cache by their stages — so a
 // full struct zero (several cache lines per instruction) buys nothing.
 //
@@ -622,9 +543,6 @@ func (p *Pipeline) allocInst() *inst {
 		in.srcs[0], in.srcs[1] = nil, nil
 		in.issued, in.done, in.squashed = false, false, false
 		in.hasBarrier = false
-		if p.legacyLedger {
-			*in.lev = instEv{}
-		}
 		p.poolReused++
 		return in
 	}
@@ -636,12 +554,8 @@ func (p *Pipeline) allocInst() *inst {
 	p.slab = p.slab[1:]
 	// Pre-size the wakeup list so the common case (a handful of dependents)
 	// never grows it; rare crowded producers grow once and keep the larger
-	// backing array through recycling. The legacy event table likewise
-	// persists through recycling (and is never allocated on the fast path).
+	// backing array through recycling.
 	in.deps = make([]instRef, 0, 8) //st:alloc-ok — once per pooled instruction, recycled forever
-	if p.legacyLedger {
-		in.lev = new(instEv) //st:alloc-ok — legacy-ledger mode only, never on the fast path
-	}
 	return in
 }
 
@@ -737,24 +651,6 @@ func (p *Pipeline) RunE(n uint64) (st *Stats, err error) {
 // would follow it.
 func (p *Pipeline) Cancel() { p.canceled.Store(true) }
 
-// frontFetchLen reports the fetched-but-undecoded instruction count of the
-// active front end (diagnostics).
-func (p *Pipeline) frontFetchLen() int {
-	if p.fusedFront {
-		return p.fetchSegLen()
-	}
-	return p.fetchQ.Len()
-}
-
-// frontDecodeLen reports the decoded-but-undispatched instruction count of
-// the active front end (diagnostics).
-func (p *Pipeline) frontDecodeLen() int {
-	if p.fusedFront {
-		return p.decoded
-	}
-	return p.decodeQ.Len()
-}
-
 // FlushTally folds the accumulated activity and wasted tallies into the
 // meter. Run calls it before returning; callers driving Step directly must
 // call it before reading the meter.
@@ -774,115 +670,15 @@ func (p *Pipeline) Step() {
 	p.commit()
 	p.complete()
 	p.issue()
-	if p.fusedFront {
-		p.dispatchFused()
-		p.decodeFused()
-		p.fetchFused()
-	} else {
-		p.dispatch()
-		p.decode()
-		p.fetch()
-	}
+	p.dispatchFused()
+	p.decodeFused()
+	p.fetchFused()
 	p.cycle++
 	p.meter.AddCycle()
 	p.Stats.Cycles++
 }
 
 // ---------------------------------------------------------------- fetch --
-
-//st:hotpath
-func (p *Pipeline) fetch() {
-	if p.faultArmed {
-		p.stageFault(StageFetch)
-	}
-	dbg := p.dbgFetchArmed && p.cycle >= p.dbgFetchLo && p.cycle < p.dbgFetchHi
-	if p.fetchHeld || p.cycle < p.fetchResumeAt {
-		if dbg {
-			//st:alloc-ok — debug-only path, armed by SetDebugFetchWindow, off in production
-			fmt.Printf("  f@%d held=%v resumeAt=%d\n", p.cycle, p.fetchHeld, p.fetchResumeAt)
-		}
-		p.Stats.FetchIdleHeld++
-		return
-	}
-	if dbg {
-		//st:alloc-ok — debug-only path, armed by SetDebugFetchWindow, off in production
-		defer func() {
-			fmt.Printf("  f@%d fetchQ=%d decodeQ=%d window=%d\n", p.cycle, p.fetchQ.Len(), p.decodeQ.Len(), p.window.Len())
-		}()
-	}
-	rate := p.ctrl.FetchRate()
-	if !rate.ActiveAt(uint64(p.cycle)) {
-		p.Stats.FetchGatedCycles++
-		p.ctrl.NoteGatedCycle()
-		return
-	}
-	// Back-pressure gates on the capacity actually available, not on a full
-	// FetchWidth group: the walker often supplies fewer than FetchWidth
-	// instructions (taken-branch-truncated groups), so requiring a full
-	// group's worth of free slots both overcounted FetchIdleBackPressure and
-	// idled fetch with room to spare. Fetch proceeds while at least one slot
-	// is free and the group is truncated to the space left.
-	width := p.cfg.FetchWidth
-	if avail := p.fetchQ.Cap() - p.fetchQ.Len(); avail < width {
-		if avail == 0 {
-			p.Stats.FetchIdleBackPressure++
-			return // front-end back-pressure
-		}
-		width = avail
-	}
-
-	// One I-cache access per fetch group; misses delay the group and stall
-	// subsequent fetch for the refill.
-	pc := p.walker.NextPC()
-	lat, l2 := p.mem.InstFetch(pc, p.cycle)
-	extra := int64(lat - p.cfg.Mem.L1HitLat)
-	if extra > 0 {
-		p.fetchResumeAt = p.cycle + extra
-	}
-
-	taken := 0
-	for slot := 0; slot < width; slot++ {
-		in := p.allocInst()
-		in.fetchCycle = p.cycle
-		p.walker.Next(&in.d)
-		in.d.WrongPath = p.wrongPath
-		in.enterDecode = p.cycle + int64(p.cfg.FetchStages) + extra
-		in.epoch = p.curEpoch
-		p.note(in, power.UnitICache)
-		if slot == 0 && l2 {
-			p.note(in, power.UnitDCache2)
-		}
-		p.Stats.Fetched++
-		if in.d.WrongPath {
-			p.Stats.WrongPathFetched++
-		}
-
-		op := in.d.St.Op
-		if op.IsControl() {
-			p.note(in, power.UnitBPred)
-		}
-		stop := false
-		switch op {
-		case isa.OpBranch:
-			stop = p.fetchCondBranch(in, &taken)
-		case isa.OpJump:
-			p.btbTouch(in.d.PC, in.d.TakenPC)
-			taken++
-		case isa.OpCall:
-			p.btbTouch(in.d.PC, in.d.TakenPC)
-			p.ras.Push(in.d.FallPC)
-			taken++
-		case isa.OpReturn:
-			p.ras.Pop() // target supplied by the walker (see bpred.RAS doc)
-			taken++
-		}
-
-		p.fetchQ.PushBack(in)
-		if stop || taken >= p.cfg.MaxTakenPerCycle {
-			break
-		}
-	}
-}
 
 // fetchCondBranch predicts and steers a conditional branch; it returns true
 // when the fetch group must end (oracle-fetch hold or BTB-miss redirect).
@@ -936,167 +732,6 @@ func (p *Pipeline) btbTouch(pc, target uint64) {
 	}
 }
 
-// --------------------------------------------------------------- decode --
-
-//st:hotpath
-func (p *Pipeline) decode() {
-	if p.faultArmed {
-		p.stageFault(StageDecode)
-	}
-	width := p.cfg.DecodeWidth
-	// Triggers only change at fetch and resolve, so whether any of them
-	// restricts decode is loop-invariant; the common unthrottled case skips
-	// the per-instruction rate scan entirely.
-	throttled := p.ctrl.DecodeThrottled()
-	for n := 0; n < width && p.fetchQ.Len() > 0; n++ {
-		in := p.fetchQ.At(0)
-		if in.enterDecode > p.cycle || p.decodeQ.Full() {
-			return
-		}
-		// Decode throttling applies per instruction: only triggers older
-		// than this instruction restrict it (see core.DecodeRateFor).
-		if throttled {
-			if rate := p.ctrl.DecodeRateFor(in.d.Seq); !rate.ActiveAt(uint64(p.cycle)) {
-				if n == 0 {
-					p.Stats.DecodeGatedCycles++
-				}
-				return
-			}
-		}
-		if p.cfg.Oracle == core.OracleDecode && in.d.WrongPath {
-			return // limit study: wrong-path instructions stall at decode
-		}
-		p.decodeOne(in)
-		p.decodeQ.PushBack(p.fetchQ.PopFront())
-	}
-}
-
-// decodeOne performs the per-instruction decode-stage work shared by both
-// front ends: the dispatch-readiness stamp, the functional-unit/latency
-// cache (so the issue and execute stages stop consulting the opcode tables
-// on every visit), and the decode-stage power events. Wattch counts rename,
-// register-file operand reads, and the RUU entry write at the decode stage
-// (the paper's footnotes 2-3); instructions squashed after decoding carry
-// this wasted energy.
-//
-//st:hotpath
-func (p *Pipeline) decodeOne(in *inst) {
-	in.enterWindow = p.cycle + int64(p.cfg.DecodeStages)
-	op := in.d.St.Op
-	in.fuKind = uint8(op.FU())
-	in.execLat = int16(op.Latency() + p.cfg.ExtraExecLat)
-	in.memOp = op.IsMem()
-	in.loadOp = op == isa.OpLoad
-	in.storeOp = op == isa.OpStore
-	p.note(in, power.UnitRename)
-	p.note(in, power.UnitWindow)
-	if in.d.St.Src1 != isa.RegNone {
-		p.note(in, power.UnitRegfile)
-	}
-	if in.d.St.Src2 != isa.RegNone {
-		p.note(in, power.UnitRegfile)
-	}
-	if in.memOp {
-		p.note(in, power.UnitLSQ)
-	}
-	if in.d.WrongPath {
-		p.Stats.WrongPathDecoded++
-	}
-}
-
-// ------------------------------------------------------------- dispatch --
-
-//st:hotpath
-func (p *Pipeline) dispatch() {
-	if p.faultArmed {
-		p.stageFault(StageDispatch)
-	}
-	width := p.cfg.IssueWidth
-	for n := 0; n < width && p.decodeQ.Len() > 0; n++ {
-		in := p.decodeQ.At(0)
-		if in.enterWindow > p.cycle || p.window.Full() {
-			return
-		}
-		if in.isMem() && p.lsqUsed >= p.cfg.LSQSize {
-			return
-		}
-		p.decodeQ.PopFront()
-		p.dispatchOne(in)
-	}
-}
-
-// dispatchOne performs the per-instruction dispatch work shared by both front
-// ends: rename, LSQ/window insertion, barrier capture, and the event-issue
-// bookkeeping. The caller has already removed in from its front-end structure
-// and verified window/LSQ capacity.
-//
-//st:hotpath
-func (p *Pipeline) dispatchOne(in *inst) {
-	// Rename: bind sources to in-flight producers. The associated
-	// power events were counted at the decode stage. Each bound
-	// producer is by construction incomplete, so registering on its
-	// wakeup list guarantees exactly one completion (or a shared
-	// squash) per bound operand.
-	nsrc := 0
-	if r := in.d.St.Src1; r != isa.RegNone {
-		if prod := p.regs[r]; prod != nil && !prod.done {
-			in.srcs[0] = prod
-			in.srcSeq[0] = prod.d.Seq
-			nsrc = 1
-			if p.eventIssue {
-				prod.deps = append(prod.deps, instRef{in, in.d.Seq})
-			}
-		}
-	}
-	if r := in.d.St.Src2; r != isa.RegNone {
-		if prod := p.regs[r]; prod != nil && !prod.done {
-			in.srcs[nsrc] = prod
-			in.srcSeq[nsrc] = prod.d.Seq
-			nsrc++
-			if p.eventIssue {
-				prod.deps = append(prod.deps, instRef{in, in.d.Seq})
-			}
-		}
-	}
-	if d := in.d.St.Dest; d != isa.RegNone {
-		p.regs[d] = in
-	}
-	if in.isMem() {
-		p.lsqUsed++
-	}
-	if in.d.WrongPath {
-		p.Stats.WrongPathDispatched++
-	}
-	in.windowCycle = p.cycle
-	in.hasBarrier = false
-	if p.ctrl.HasNoSelect() {
-		if b, ok := p.ctrl.BarrierFor(in.d.Seq); ok {
-			in.barrier = b
-			in.hasBarrier = true
-		}
-	}
-	in.wpos = int32(p.window.backSlot())
-	if p.eventIssue {
-		// Binding only captures incomplete producers, so readiness at
-		// dispatch is exactly "nothing was bound". The slot's previous
-		// occupant left its bit clear, but write both ways so dispatch
-		// re-establishes the bitmap invariant unconditionally.
-		in.nwait = uint8(nsrc)
-		if nsrc == 0 {
-			p.setReady(in)
-		} else {
-			p.clearReady(in)
-		}
-		if in.hasBarrier {
-			p.barrierQ = append(p.barrierQ, instRef{in, in.d.Seq})
-		}
-		if in.storeOp {
-			p.storeQ = append(p.storeQ, instRef{in, in.d.Seq})
-		}
-	}
-	p.window.PushBack(in)
-}
-
 // ---------------------------------------------------------------- issue --
 
 //st:hotpath
@@ -1104,11 +739,7 @@ func (p *Pipeline) issue() {
 	if p.faultArmed {
 		p.stageFault(StageIssue)
 	}
-	if p.eventIssue {
-		p.issueEvent()
-		return
-	}
-	p.issueScan()
+	p.issueEvent()
 }
 
 // setReady flags in's window slot in the ready bitmap.
@@ -1121,8 +752,8 @@ func (p *Pipeline) clearReady(in *inst) {
 	p.readyMask[in.wpos>>6] &^= 1 << uint(in.wpos&63)
 }
 
-// startExecution performs the bookkeeping shared by both issue
-// implementations for one selected instruction: mark it issued, account the
+// startExecution performs the issue bookkeeping for one selected
+// instruction: mark it issued, account the
 // power events, compute its completion latency (including the D-cache access
 // for loads), and schedule it on the completion wheel.
 func (p *Pipeline) startExecution(in *inst) {
@@ -1158,7 +789,7 @@ func (p *Pipeline) startExecution(in *inst) {
 
 // issueEvent is the event-driven issue stage: it walks the ready bitmap
 // oldest-first and pops at most IssueWidth issuable instructions, in exactly
-// the order the legacy full-window scan selected them. Entries skipped for
+// the order a full-window scan would select them. Entries skipped for
 // structural reasons (exhausted functional unit, blocked no-select barrier,
 // unresolved older same-address store, oracle-select suppression) keep their
 // ready bit for the next cycle.
@@ -1172,8 +803,8 @@ func (p *Pipeline) issueEvent() {
 	issued := 0
 	oracleSel := p.cfg.Oracle == core.OracleSelect
 
-	// stopSeq reproduces the legacy scan's early exit: the scan stopped at
-	// the instruction that consumed the last issue slot, so no-select
+	// stopSeq reproduces a full-window scan's early exit: the scan stops at
+	// the instruction that consumes the last issue slot, so no-select
 	// stalls are only accounted for older instructions. It stays at the
 	// maximum (count everything) when the width is not exhausted.
 	stopSeq := ^uint64(0)
@@ -1235,7 +866,7 @@ walk:
 		}
 	}
 
-	// NoSelectStalls accounting, matching the legacy scan bit for bit: one
+	// NoSelectStalls accounting, as a full-window scan counts them: one
 	// count per unissued, barrier-blocked instruction the scan would have
 	// visited this cycle — whether or not its operands are ready — i.e.
 	// every one older than the instruction that exhausted the issue width.
@@ -1293,68 +924,6 @@ func (p *Pipeline) loadBlocked(ld *inst) bool {
 	return blocked
 }
 
-// issueScan is the historical O(window) wakeup/select scan, retained as the
-// reference implementation (Config.LegacyScanIssue) that the event-driven
-// stage is regression-tested against.
-func (p *Pipeline) issueScan() {
-	var fu [isa.NumFUKinds]int
-	for k := range fu {
-		fu[k] = p.cfg.FUCount[k]
-	}
-	issued := 0
-	// Memory disambiguation: a load may not issue past an older store to
-	// the same address that has not executed yet.
-	p.unexecStores = p.unexecStores[:0]
-	blockedLoad := func(in *inst) bool {
-		if !in.isLoad() || p.cfg.PerfectDisambiguation {
-			return false
-		}
-		for _, a := range p.unexecStores {
-			if a == in.d.Addr {
-				return true
-			}
-		}
-		return false
-	}
-	noteStore := func(in *inst) {
-		if in.storeOp && !in.done {
-			p.unexecStores = append(p.unexecStores, in.d.Addr)
-		}
-	}
-	for i := 0; i < p.window.Len() && issued < p.cfg.IssueWidth; i++ {
-		in := p.window.At(i)
-		if in.issued {
-			noteStore(in)
-			continue
-		}
-		if p.cfg.Oracle == core.OracleSelect && in.d.WrongPath {
-			noteStore(in)
-			continue
-		}
-		if in.hasBarrier && p.ctrl.Blocked(in.barrier) {
-			p.Stats.NoSelectStalls++
-			noteStore(in)
-			continue
-		}
-		if !in.ready() {
-			noteStore(in)
-			continue
-		}
-		if blockedLoad(in) {
-			continue
-		}
-		kind := in.fuKind // cached at decode
-		if fu[kind] == 0 {
-			noteStore(in)
-			continue
-		}
-		fu[kind]--
-		issued++
-		p.startExecution(in)
-		noteStore(in) // an issued store still blocks same-address loads until done
-	}
-}
-
 // ------------------------------------------------------------- complete --
 
 //st:hotpath
@@ -1384,22 +953,11 @@ func (p *Pipeline) complete() {
 		winN++ // result write / tag broadcast
 		led := &p.epochBuf[in.epoch].led
 		led[power.UnitWindow]++
-		hasDest := in.d.St.Dest != isa.RegNone
-		if hasDest {
+		if in.d.St.Dest != isa.RegNone {
 			rbN++
 			led[power.UnitResultBus]++
 		}
-		if p.legacyLedger {
-			in.lev.ev[power.UnitWindow]++
-			in.lev.mask |= 1 << uint(power.UnitWindow)
-			if hasDest {
-				in.lev.ev[power.UnitResultBus]++
-				in.lev.mask |= 1 << uint(power.UnitResultBus)
-			}
-		}
-		if p.eventIssue {
-			p.wakeDependents(in)
-		}
+		p.wakeDependents(in)
 		if in.d.St.Op == isa.OpBranch {
 			p.resolve(in)
 		}
@@ -1456,18 +1014,8 @@ func (p *Pipeline) flushAfter(br *inst) {
 
 	// The front end only holds instructions younger than anything in the
 	// window: drop it wholesale, youngest first (squash order is observable
-	// through the wasted-power accumulation order and the checkpoint free
-	// list, so both front ends must walk it identically).
-	if p.fusedFront {
-		p.flushFrontFused()
-	} else {
-		for p.fetchQ.Len() > 0 {
-			p.squash(p.fetchQ.PopBack())
-		}
-		for p.decodeQ.Len() > 0 {
-			p.squash(p.decodeQ.PopBack())
-		}
-	}
+	// through the checkpoint free list).
+	p.flushFrontFused()
 	for p.window.Len() > 0 {
 		tail := p.window.At(p.window.Len() - 1)
 		if tail.d.Seq <= seq {
@@ -1477,24 +1025,20 @@ func (p *Pipeline) flushAfter(br *inst) {
 		if tail.isMem() {
 			p.lsqUsed--
 		}
-		if p.eventIssue {
-			p.clearReady(tail)
-		}
+		p.clearReady(tail)
 		p.squash(tail)
 	}
-	if p.eventIssue {
-		// The side lists are age-ordered, so a flush truncates a suffix.
-		q := p.storeQ
-		for len(q) > 0 && q[len(q)-1].seq > seq {
-			q = q[:len(q)-1]
-		}
-		p.storeQ = q
-		b := p.barrierQ
-		for len(b) > 0 && b[len(b)-1].seq > seq {
-			b = b[:len(b)-1]
-		}
-		p.barrierQ = b
+	// The side lists are age-ordered, so a flush truncates a suffix.
+	q := p.storeQ
+	for len(q) > 0 && q[len(q)-1].seq > seq {
+		q = q[:len(q)-1]
 	}
+	p.storeQ = q
+	b := p.barrierQ
+	for len(b) > 0 && b[len(b)-1].seq > seq {
+		b = b[:len(b)-1]
+	}
+	p.barrierQ = b
 
 	// Rebuild the rename table from the surviving window contents.
 	clear(p.regs[:])
@@ -1505,12 +1049,6 @@ func (p *Pipeline) flushAfter(br *inst) {
 		}
 	}
 
-	if p.DebugFlushes != "" && !br.d.WrongPath {
-		p.flushCount++
-		if p.flushCount >= 200 && p.flushCount <= 202 {
-			DumpFlush(br, p.cycle, p.DebugFlushes)
-		}
-	}
 	if !br.d.WrongPath {
 		p.Stats.ResolveLatTotal += uint64(p.cycle - br.fetchCycle)
 		p.Stats.ResolveWindowWait += uint64(p.cycle - br.windowCycle)
@@ -1535,20 +1073,11 @@ func (p *Pipeline) flushAfter(br *inst) {
 	}
 }
 
-// Lifecycle reports an instruction's timing for diagnostics.
-func (in *inst) Lifecycle() (fetch, window, issue int64, pc uint64) {
-	return in.fetchCycle, in.windowCycle, in.issueCycle, in.d.PC
-}
-
-// Srcs exposes producer instructions for diagnostics.
-func (in *inst) Srcs() [2]*inst { return in.srcs }
-
 // squash marks an instruction dead and recycles it unless the completion
 // wheel still references it (issued but not finished — complete() recycles
 // those when their slot comes up). Its accumulated activity reaches the
 // wasted pool through the epoch fold in flushAfter (every squash happens
-// under a flush); only the legacy attribution scheme moves the events here,
-// one instruction at a time.
+// under a flush).
 func (p *Pipeline) squash(in *inst) {
 	if in.squashed {
 		return
@@ -1562,12 +1091,6 @@ func (p *Pipeline) squash(in *inst) {
 	}
 	if p.fetchHeld && in.d.Seq == p.fetchHeldBySeq {
 		p.fetchHeld = false // defensive: never leave fetch held by a dead branch
-	}
-	if p.legacyLedger {
-		for m := in.lev.mask; m != 0; m &= m - 1 {
-			u := bits.TrailingZeros16(m)
-			p.wastedTally[u] += uint64(in.lev.ev[u])
-		}
 	}
 	if !in.issued || in.done {
 		p.freeInst(in)
@@ -1621,17 +1144,6 @@ func (p *Pipeline) commit() {
 			p.Stats.CondBranches++
 			if !correct {
 				p.Stats.Mispredicts++
-			}
-		}
-		if p.legacyLedger {
-			// Shadow-ledger maintenance: drop the committed instruction's
-			// events from its epoch's ledger, so the open ledgers keep
-			// tracking exactly the in-flight members (the cross-check
-			// CheckInvariants enforces against the per-instruction tables).
-			led := &p.epochBuf[in.epoch].led
-			for m := in.lev.mask; m != 0; m &= m - 1 {
-				u := bits.TrailingZeros16(m)
-				led[u] -= uint32(in.lev.ev[u])
 			}
 		}
 		// Committing an epoch's closing branch retires the epoch: all its

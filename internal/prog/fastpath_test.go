@@ -66,164 +66,85 @@ func TestIntegerOutcomeMatchesFloat(t *testing.T) {
 	}
 }
 
-// TestFastWalkerMatchesLegacy is the randomized end-to-end identity test of
-// the walker fast path: both walkers are driven with the same (sometimes
-// wrong) steering decisions, the same wrong-path excursions, and the same
-// checkpoint recoveries, and every produced DynInst must be identical field
-// for field — including the checkpoint handles, since both walkers lease and
-// release in the same order. Afterwards the checkpoint arenas must be fully
-// drained (the leak check at walker level).
-func TestFastWalkerMatchesLegacy(t *testing.T) {
-	for _, p := range Profiles() {
-		program := Generate(p)
-		fast := NewWalker(program)
-		legacy := NewWalker(program)
-		legacy.SetLegacy(true)
-		rng := xrand.New(0xF00D ^ p.Seed)
-		var df, dl DynInst
-		step := func(where string, i int) {
-			fast.Next(&df)
-			legacy.Next(&dl)
-			if df != dl {
-				t.Fatalf("%s: %s stream diverged at %d:\n fast:   %+v\n legacy: %+v",
-					p.Name, where, i, df, dl)
-			}
-			if np := fast.NextPC(); np != legacy.NextPC() {
-				t.Fatalf("%s: NextPC diverged at %d", p.Name, i)
-			}
-		}
-		for i := 0; i < 12000; i++ {
-			step("correct-path", i)
-			if df.BrID == NoBranch {
-				continue
-			}
-			pred := df.Taken
-			if rng.Bool(0.2) {
-				pred = !pred
-			}
-			fast.Steer(pred)
-			legacy.Steer(pred)
-			if pred == df.Taken {
-				fast.Release(&df)
-				legacy.Release(&dl)
-				continue
-			}
-			// Wrong path: walk a bounded excursion, then recover both from
-			// the mispredicted branch's checkpoint.
-			brF, brL := df, dl
-			for k := rng.Intn(30); k > 0; k-- {
-				step("wrong-path", i)
-				if df.BrID != NoBranch {
-					fast.Steer(df.Taken)
-					legacy.Steer(dl.Taken)
-					fast.Release(&df)
-					legacy.Release(&dl)
-				}
-			}
-			fast.Recover(&brF)
-			legacy.Recover(&brL)
-		}
-		for _, w := range []struct {
-			name string
-			w    *Walker
-		}{{"fast", fast}, {"legacy", legacy}} {
-			leased, capacity, hw := w.w.CkptStats()
-			if leased != 0 {
-				t.Errorf("%s/%s: %d checkpoint leases leaked", p.Name, w.name, leased)
-			}
-			if hw > 4 {
-				t.Errorf("%s/%s: checkpoint high-water %d, at most 2 branches are ever outstanding here", p.Name, w.name, hw)
-			}
-			if capacity > hw {
-				t.Errorf("%s/%s: arena capacity %d exceeds high-water %d", p.Name, w.name, capacity, hw)
-			}
-		}
-	}
-}
-
 // TestNextGroupMatchesNext is the randomized identity test for the batched
 // walker entry point: a NextGroup-driven walker and a Next-driven walker,
 // given identical (sometimes wrong) steering and identical recoveries, must
 // produce field-for-field identical instruction streams, agree on NextPC
 // between batches, and park in the same architectural state. Buffer sizes
 // vary per batch so every cut point — mid-block, block boundary, control
-// transfer in any slot — is exercised, in both walker implementations.
+// transfer in any slot — is exercised.
 func TestNextGroupMatchesNext(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		for _, p := range Profiles() {
-			program := Generate(p)
-			batched := NewWalker(program)
-			ref := NewWalker(program)
-			batched.SetLegacy(legacy)
-			ref.SetLegacy(legacy)
-			rng := xrand.New(0xBA7C4 ^ p.Seed)
-			buf := make([]DynInst, 8)
-			var dr DynInst
-			produced := 0
-			for produced < 20000 {
-				width := 1 + rng.Intn(len(buf))
-				// Zero the records first: fields outside the per-op contract
-				// carry stale values (see the DynInst docs), so equality is
-				// meaningful only when both walkers start from zeroed slots.
-				for i := range buf[:width] {
-					buf[i] = DynInst{}
+	for _, p := range Profiles() {
+		program := Generate(p)
+		batched := NewWalker(program)
+		ref := NewWalker(program)
+		rng := xrand.New(0xBA7C4 ^ p.Seed)
+		buf := make([]DynInst, 8)
+		var dr DynInst
+		produced := 0
+		for produced < 20000 {
+			width := 1 + rng.Intn(len(buf))
+			// Zero the records first: fields outside the per-op contract
+			// carry stale values (see the DynInst docs), so equality is
+			// meaningful only when both walkers start from zeroed slots.
+			for i := range buf[:width] {
+				buf[i] = DynInst{}
+			}
+			n := batched.NextGroup(buf[:width])
+			if n < 1 || n > width {
+				t.Fatalf("%s: NextGroup(%d) returned %d", p.Name, width, n)
+			}
+			for i := 0; i < n; i++ {
+				dr = DynInst{}
+				ref.Next(&dr)
+				if buf[i] != dr {
+					t.Fatalf("%s: stream diverged at %d slot %d:\n group: %+v\n next:  %+v",
+						p.Name, produced, i, buf[i], dr)
 				}
-				n := batched.NextGroup(buf[:width])
-				if n < 1 || n > width {
-					t.Fatalf("%s legacy=%v: NextGroup(%d) returned %d", p.Name, legacy, width, n)
+				if op := buf[i].St.Op; op.IsControl() && i != n-1 {
+					t.Fatalf("%s: control op %v not last in batch (%d of %d)",
+						p.Name, op, i, n-1)
 				}
-				for i := 0; i < n; i++ {
-					dr = DynInst{}
-					ref.Next(&dr)
-					if buf[i] != dr {
-						t.Fatalf("%s legacy=%v: stream diverged at %d slot %d:\n group: %+v\n next:  %+v",
-							p.Name, legacy, produced, i, buf[i], dr)
-					}
-					if op := buf[i].St.Op; op.IsControl() && i != n-1 {
-						t.Fatalf("%s legacy=%v: control op %v not last in batch (%d of %d)",
-							p.Name, legacy, op, i, n-1)
-					}
-					produced++
+				produced++
+			}
+			last := buf[n-1]
+			if last.BrID != NoBranch {
+				pred := last.Taken
+				if rng.Bool(0.25) {
+					pred = !pred
 				}
-				last := buf[n-1]
-				if last.BrID != NoBranch {
-					pred := last.Taken
-					if rng.Bool(0.25) {
-						pred = !pred
-					}
-					batched.Steer(pred)
-					ref.Steer(pred)
-					if pred != last.Taken && rng.Bool(0.5) {
-						// Recover immediately half the time; otherwise walk the
-						// wrong path for a while (the outer loop does that
-						// naturally) and just drop the lease.
-						lb, lr := last, dr
-						batched.Recover(&lb)
-						ref.Recover(&lr)
-					} else {
-						lb, lr := last, dr
-						batched.Release(&lb)
-						ref.Release(&lr)
-					}
+				batched.Steer(pred)
+				ref.Steer(pred)
+				if pred != last.Taken && rng.Bool(0.5) {
+					// Recover immediately half the time; otherwise walk the
+					// wrong path for a while (the outer loop does that
+					// naturally) and just drop the lease.
+					lb, lr := last, dr
+					batched.Recover(&lb)
+					ref.Recover(&lr)
+				} else {
+					lb, lr := last, dr
+					batched.Release(&lb)
+					ref.Release(&lr)
 				}
-				if batched.NextPC() != ref.NextPC() {
-					t.Fatalf("%s legacy=%v: NextPC diverged after %d instructions", p.Name, legacy, produced)
-				}
-				if batched.State() != ref.State() {
-					t.Fatalf("%s legacy=%v: walker state diverged after %d instructions", p.Name, legacy, produced)
-				}
+			}
+			if batched.NextPC() != ref.NextPC() {
+				t.Fatalf("%s: NextPC diverged after %d instructions", p.Name, produced)
+			}
+			if batched.State() != ref.State() {
+				t.Fatalf("%s: walker state diverged after %d instructions", p.Name, produced)
 			}
 		}
 	}
 }
 
-// TestWalkerResetReusesArena checks that Reset keeps the arena backing and
-// the legacy flag while rewinding the lease state.
+// TestWalkerResetReusesArena checks that Reset keeps the arena backing while
+// rewinding the lease state, and that the reset walker replays the program
+// from its entry exactly as a fresh one does.
 func TestWalkerResetReusesArena(t *testing.T) {
 	p, _ := ProfileByName("go")
 	program := Generate(p)
 	w := NewWalker(program)
-	w.SetLegacy(true)
 	var d DynInst
 	for i := 0; i < 1000; i++ {
 		w.Next(&d)
@@ -231,7 +152,7 @@ func TestWalkerResetReusesArena(t *testing.T) {
 			w.Steer(d.Taken) // leases intentionally left outstanding
 		}
 	}
-	leased, _, _ := w.CkptStats()
+	leased, capacity, _ := w.CkptStats()
 	if leased == 0 {
 		t.Fatal("no leases outstanding before reset")
 	}
@@ -239,11 +160,24 @@ func TestWalkerResetReusesArena(t *testing.T) {
 	if leased, _, _ := w.CkptStats(); leased != 0 {
 		t.Fatalf("%d leases survived Reset", leased)
 	}
-	// The legacy flag must survive (the runner re-applies it anyway, but
-	// Reset alone must not silently switch implementations mid-pool).
-	w.Next(&d)
-	if !w.legacy {
-		t.Fatal("legacy flag lost across Reset")
+	if cap(w.ckpts) < capacity {
+		t.Fatalf("arena backing shrank across Reset: cap %d, had %d slots", cap(w.ckpts), capacity)
+	}
+	// Fields outside the per-op contract carry stale values (see the DynInst
+	// docs), so both records start zeroed.
+	fresh := NewWalker(program)
+	var df DynInst
+	for i := 0; i < 1000; i++ {
+		d, df = DynInst{}, DynInst{}
+		w.Next(&d)
+		fresh.Next(&df)
+		if d != df {
+			t.Fatalf("reset walker diverged from a fresh one at %d:\n reset: %+v\n fresh: %+v", i, d, df)
+		}
+		if d.BrID != NoBranch {
+			w.Steer(d.Taken)
+			fresh.Steer(df.Taken)
+		}
 	}
 }
 

@@ -45,8 +45,7 @@
 //     into blockMeta so Next reads flat arrays instead of chasing Block
 //     structures and a (block, index) map.
 //
-// The original implementation survives behind Walker.SetLegacy as the
-// reference the identity tests drive against the fast path.
+// testdata/walkstream.tsv pins the walker's instruction stream per profile.
 package prog
 
 // Profile describes one synthetic benchmark: the generation parameters plus

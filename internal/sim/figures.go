@@ -19,17 +19,6 @@ type Options struct {
 	ConfBytes    int // 0 = 8 KB
 	Profiles     []prog.Profile
 
-	// LegacyFrontEnd runs every simulation on the two-ring reference front
-	// end instead of the fused delay line (diagnostics; output must be
-	// byte-identical — the identity tests and the commands' flag exist to
-	// prove exactly that).
-	LegacyFrontEnd bool
-
-	// LegacyEventLedger runs every simulation on the per-instruction power
-	// attribution reference instead of the epoch ledgers (diagnostics;
-	// output must be byte-identical, like LegacyFrontEnd).
-	LegacyEventLedger bool
-
 	// Supervise is the per-point run policy (deadline, retries, fault
 	// hooks). The zero value isolates failures without deadlines or
 	// retries; healthy grids behave identically with or without it.
@@ -70,8 +59,6 @@ func (o Options) BaseConfig() Config {
 func (o Options) baseConfig() Config {
 	cfg := Default()
 	cfg.Pipe.SetDepth(o.Depth)
-	cfg.Pipe.LegacyFrontEnd = o.LegacyFrontEnd
-	cfg.Pipe.LegacyEventLedger = o.LegacyEventLedger
 	cfg.PredBytes = o.PredBytes
 	cfg.ConfBytes = o.ConfBytes
 	cfg.Instructions = o.Instructions
@@ -101,14 +88,6 @@ type FigureResult struct {
 
 	Statuses []PointStatus  // per grid point, config-major; nil when all OK
 	Failures []PointFailure // failed points; nil when all OK
-
-	// Points is the raw config-major result grid (Baselines is its first
-	// profile-count slots). It is what partitioned runs exchange: a merge of
-	// K partial figures recombines their Points/point statuses and
-	// re-assembles Rows, so the merged figure is built from the same raw
-	// substrate as a single-process run. Cells whose status is failed or
-	// unclaimed hold zero Results.
-	Points []Result
 }
 
 // RunFigure reproduces a bar-chart figure: it runs the baseline and every
@@ -158,15 +137,12 @@ func figureConfigs(opts Options, exps []Experiment) []Config {
 	return cfgs
 }
 
-// assembleFigure builds a FigureResult from the raw config-major result and
-// status grids — the single assembly path shared by single-process runs,
-// partitioned runs, and the coordinator's merge of per-worker partials, so
-// all three degrade identically. opts must already be defaulted; all and
-// statuses are (1+len(exps))*len(opts.Profiles) slots, config-major.
+// assembleFigure builds RunFigureE's FigureResult from the raw config-major
+// result and status grids. opts must already be defaulted; all and statuses
+// are (1+len(exps))*len(opts.Profiles) slots, config-major.
 func assembleFigure(name string, exps []Experiment, opts Options, all []Result, statuses []PointStatus) *FigureResult {
 	np := len(opts.Profiles)
 	fr := &FigureResult{Name: name, Options: opts}
-	fr.Points = all
 	fr.Baselines = all[:np]
 	nfail := 0
 	for _, st := range statuses {

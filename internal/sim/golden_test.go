@@ -22,11 +22,13 @@ import (
 //     {go, gzip, twolf} under every referencePolicies entry, and every
 //     referenceShapes entry.
 //
-// The table was first generated while the simulator still carried its
-// reference implementations (the scan issue stage, the two-ring front end,
-// the per-instruction power ledger and the float-threshold walker); the
-// generator checked every row under the fast path, each reference alone and
-// all references together, and wrote a row only when all six agreed.
+// The table was first generated while the simulator still carried
+// reference implementations of its fast paths (a full-window issue scan, a
+// two-ring front end, a per-instruction power ledger and a float-threshold
+// walker); the generator checked every row under the fast path, each
+// reference alone and all of them together, and wrote a row only when all
+// six agreed. Those references are gone, and the table now carries their
+// verdicts.
 //
 //	go test ./internal/sim -run TestResultDigestsGolden -update
 const resultsFile = "testdata/results.tsv"
@@ -125,19 +127,6 @@ func goldenPoints(t *testing.T) []goldenPoint {
 	return pts
 }
 
-// referenceModes are the simulator's implementations of one cycle model:
-// the fast path first, then each reference alone, then all of them.
-var referenceModes = []func(*Config){
-	func(*Config) {},
-	func(c *Config) { c.Pipe.LegacyScanIssue = true },
-	func(c *Config) { c.Pipe.LegacyFrontEnd = true },
-	func(c *Config) { c.Pipe.LegacyEventLedger = true },
-	func(c *Config) { c.LegacyWalk = true },
-	func(c *Config) {
-		c.Pipe.LegacyScanIssue, c.Pipe.LegacyFrontEnd, c.Pipe.LegacyEventLedger, c.LegacyWalk = true, true, true, true
-	},
-}
-
 // resultDigest runs one point directly (no result cache) and digests the
 // codec bytes of its Result.
 func resultDigest(r *Runner, g GridPoint) string {
@@ -147,30 +136,13 @@ func resultDigest(r *Runner, g GridPoint) string {
 }
 
 // TestResultDigestsGolden runs every row of testdata/results.tsv once and
-// compares its digest. With -update it regenerates the table, writing a row
-// only when every referenceModes implementation gives the same digest.
+// compares its digest. A failure is a behaviour change: the point now
+// simulates to a different Result.
 func TestResultDigestsGolden(t *testing.T) {
 	pts := goldenPoints(t)
-	modes := referenceModes[:1]
-	if *update {
-		modes = referenceModes
-	}
-	digests := make([][]string, len(pts))
-	runJobs(len(pts), func(r *Runner, i int) {
-		for _, mode := range modes {
-			g := pts[i].g
-			mode(&g.Cfg)
-			digests[i] = append(digests[i], resultDigest(r, g))
-		}
-	})
 	rows := make([]string, len(pts))
-	for i, p := range pts {
-		for m, d := range digests[i] {
-			if d != digests[i][0] {
-				t.Fatalf("%s/%s: reference mode %d digests %s, fast path %s", p.set, p.name, m, d, digests[i][0])
-			}
-		}
-		rows[i] = p.set + "\t" + p.name + "\t" + digests[i][0]
-	}
+	runJobs(len(pts), func(r *Runner, i int) {
+		rows[i] = pts[i].set + "\t" + pts[i].name + "\t" + resultDigest(r, pts[i].g)
+	})
 	golden.Check(t, resultsFile, resultsHeader, rows, *update)
 }

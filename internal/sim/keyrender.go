@@ -27,6 +27,9 @@ package sim
 // are refused when the plan is built: a key type that grows such a field
 // fails every key derivation, and so tier-1, instead of silently keying
 // differently from the bytes the golden table and stores were built with.
+//
+// Deleted fields of a key type stay in the text as constant literals (see
+// retiredKeyFields), so deleting one moves no key.
 
 import (
 	"fmt"
@@ -35,7 +38,21 @@ import (
 	"strconv"
 	"sync"
 	"unsafe"
+
+	"selthrottle/internal/pipe"
 )
+
+// retiredKeyFields lists deleted key-type fields by type and by the field
+// that preceded them. The plan renders each as the constant text fmt gave it
+// when it was false, as it was on every default run, so every v1 key keeps
+// its bytes and existing stores and golden tables stay valid. (The four
+// fields selected reference implementations of the cycle model that gave
+// bit-identical results; entries stored with one of them set are simply no
+// longer looked up.)
+var retiredKeyFields = map[reflect.Type]map[string]string{
+	reflect.TypeFor[pipe.Config](): {"PerfectDisambiguation": ", LegacyScanIssue:false, LegacyFrontEnd:false, LegacyEventLedger:false"},
+	reflect.TypeFor[Config]():      {"Warmup": ", LegacyWalk:false"},
+}
 
 // keyOpKind is how one rendering step reads and formats its value.
 type keyOpKind uint8
@@ -173,6 +190,7 @@ func (b *keyPlanBuilder) value(t reflect.Type, off uintptr, path string) {
 			b.lit = append(b.lit, f.Name...)
 			b.lit = append(b.lit, ':')
 			b.value(f.Type, off+f.Offset, path+"."+f.Name)
+			b.lit = append(b.lit, retiredKeyFields[t][f.Name]...)
 		}
 		b.lit = append(b.lit, '}')
 	case reflect.Array:

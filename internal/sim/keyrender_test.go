@@ -15,11 +15,20 @@ import (
 	"selthrottle/internal/store"
 )
 
+// fmtConfig is the reference rendering of a Config: fmt's own %#v with the
+// retired fields' constant text spliced back in where they stood, which is
+// the text every v1 key was derived from while the fields existed.
+func fmtConfig(cfg Config) string {
+	s := fmt.Sprintf("%#v", cfg)
+	s = strings.Replace(s, ", StuckCycles:", ", LegacyScanIssue:false, LegacyFrontEnd:false, LegacyEventLedger:false, StuckCycles:", 1)
+	return strings.TrimSuffix(s, "}") + ", LegacyWalk:false}"
+}
+
 // fmtDiskKey is the reference key derivation: SHA-256 over fmt's own %#v
 // rendering, exactly as diskKeyOf computed it before the plan renderer.
 func fmtDiskKey(key cacheKey) store.Key {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%#v\x00%#v", diskKeySchema, key.cfg, key.profile)
+	fmt.Fprintf(h, "%s\x00%s\x00%#v", diskKeySchema, fmtConfig(key.cfg), key.profile)
 	var k store.Key
 	h.Sum(k[:0])
 	return k
@@ -29,7 +38,7 @@ func fmtDiskKey(key cacheKey) store.Key {
 // byte for byte with fmt on key.
 func checkRendering(t *testing.T, what string, key cacheKey) {
 	t.Helper()
-	if got, want := appendGoSyntax(nil, &key.cfg), fmt.Sprintf("%#v", key.cfg); string(got) != want {
+	if got, want := appendGoSyntax(nil, &key.cfg), fmtConfig(key.cfg); string(got) != want {
 		t.Fatalf("%s: Config renders\n%s\nfmt renders\n%s", what, got, want)
 	}
 	if got, want := appendGoSyntax(nil, &key.profile), fmt.Sprintf("%#v", key.profile); string(got) != want {

@@ -417,7 +417,7 @@ func init() { cachingEnabled.Store(true) }
 
 // SetResultCaching enables or disables the process-wide result cache and
 // returns the previous setting. Disabling is for measurements that must
-// exercise the simulator itself (benchmarks, identity tests); the cache
+// exercise the simulator itself (benchmarks); the cache
 // never changes results, only whether they are recomputed.
 func SetResultCaching(on bool) (previous bool) {
 	return cachingEnabled.Swap(on)
