@@ -67,6 +67,33 @@ func Check(t testing.TB, path, header string, rows []string, update bool) {
 	}
 }
 
+// CheckSubset compares rows with the same-named rows of the table at path,
+// in any order: each row must be in the table with the same digest. Tests
+// that pin one slice of a table use it; the test that regenerates the table
+// checks all of it with Check.
+func CheckSubset(t testing.TB, path string, rows []string) {
+	t.Helper()
+	want, err := read(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update, and note why in CHANGES.md)", err)
+	}
+	byName := make(map[string]string, len(want))
+	for _, w := range want {
+		n, d := split(w)
+		byName[n] = d
+	}
+	for _, r := range rows {
+		n, d := split(r)
+		wd, ok := byName[n]
+		switch {
+		case !ok:
+			t.Errorf("%s: no such row in %s", strings.ReplaceAll(n, "\t", "/"), path)
+		case d != wd:
+			t.Errorf("%s: digest %s, want %s", strings.ReplaceAll(n, "\t", "/"), d, wd)
+		}
+	}
+}
+
 // split separates a row's name fields from its digest.
 func split(row string) (name, digest string) {
 	i := strings.LastIndexByte(row, '\t')

@@ -96,6 +96,15 @@ func drainWithStragglers(pl *Pipeline) {
 	}
 }
 
+// trialRows runs seed's trials and returns their table rows.
+func trialRows(t *testing.T, seed uint64) []string {
+	var rows []string
+	for i, tr := range randomTrials(seed) {
+		rows = append(rows, fmt.Sprintf("%#x\t%d\t%s/%s/%d\t%s", seed, i, tr.bench, tr.policy.Name, tr.depth, runTrial(t, tr)))
+	}
+	return rows
+}
+
 // TestRandomizedTrialsGolden runs every row of testdata/trials.tsv once and
 // compares its state digest. The table was first generated while the
 // pipeline still carried its reference implementations (the scan issue
@@ -105,14 +114,28 @@ func drainWithStragglers(pl *Pipeline) {
 // A failure is a behaviour change: a machine shape now ends in a different
 // state.
 func TestRandomizedTrialsGolden(t *testing.T) {
-	var rows []string
-	for _, seed := range []uint64{0xE90C, 0x5005} {
-		for i, tr := range randomTrials(seed) {
-			rows = append(rows, fmt.Sprintf("%#x\t%d\t%s/%s/%d\t%s", seed, i, tr.bench, tr.policy.Name, tr.depth, runTrial(t, tr)))
-		}
-	}
+	rows := append(trialRows(t, 0xE90C), trialRows(t, 0x5005)...)
 	pl, meter := buildLedger(t, "go", core.Baseline(), nil)
 	drainWithStragglers(pl)
 	rows = append(rows, "stragglers\t-\tgo/baseline/14\t"+stateDigest(pl, meter))
 	golden.Check(t, trialsFile, trialsHeader, rows, *update)
+}
+
+// TestEpochLedgerMatchesLegacyRandomized checks the 0xE90C rows on their
+// own: random profiles, policies and depths whose statistics, per-unit
+// useful and wasted totals, and pool, checkpoint and epoch accounting were
+// written only when the epoch ledgers agreed with the per-instruction
+// ledger they replaced. A fold that gains or loses one event moves the
+// per-unit wasted totals and so the digest.
+func TestEpochLedgerMatchesLegacyRandomized(t *testing.T) {
+	golden.CheckSubset(t, trialsFile, trialRows(t, 0xE90C))
+}
+
+// TestFusedSquashAccountingMatchesLegacy checks the 0x5005 rows on their
+// own: random shapes whose end state was written only when the fused front
+// end agreed with the two-ring front end. A squash-order change shows in
+// the checkpoint high-water (handles recycle LIFO) and in the per-unit
+// wasted totals.
+func TestFusedSquashAccountingMatchesLegacy(t *testing.T) {
+	golden.CheckSubset(t, trialsFile, trialRows(t, 0x5005))
 }

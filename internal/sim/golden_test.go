@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"selthrottle/internal/core"
@@ -85,8 +86,8 @@ type goldenPoint struct {
 	g         GridPoint
 }
 
-// goldenPoints lists the table's rows in order.
-func goldenPoints(t *testing.T) []goldenPoint {
+// gridPoints lists the table's `all` and `ablation` rows in order.
+func gridPoints(t *testing.T) []goldenPoint {
 	t.Helper()
 	var pts []goldenPoint
 	for _, exp := range pointKeyGrids {
@@ -100,6 +101,13 @@ func goldenPoints(t *testing.T) []goldenPoint {
 			pts = append(pts, goldenPoint{exp, name, g})
 		}
 	}
+	return pts
+}
+
+// referencePoints lists the table's reference rows (sets profiles,
+// policies and shapes) in order; they follow the grid rows.
+func referencePoints() []goldenPoint {
+	var pts []goldenPoint
 	at := func(instructions, warmup uint64, e Experiment) Config {
 		cfg := Default()
 		cfg.Instructions, cfg.Warmup = instructions, warmup
@@ -135,14 +143,160 @@ func resultDigest(r *Runner, g GridPoint) string {
 	return golden.Sum(store.EncodeEntry(&e))
 }
 
+// referenceDigests runs every reference row once per test binary and maps
+// "set\tpoint" to its digest. TestResultDigestsGolden and the reference
+// tests below share it, so no reference row is simulated twice.
+var referenceDigests = sync.OnceValue(func() map[string]string {
+	pts := referencePoints()
+	digests := make([]string, len(pts))
+	runJobs(len(pts), func(r *Runner, i int) {
+		digests[i] = resultDigest(r, pts[i].g)
+	})
+	m := make(map[string]string, len(pts))
+	for i, p := range pts {
+		m[p.set+"\t"+p.name] = digests[i]
+	}
+	return m
+})
+
 // TestResultDigestsGolden runs every row of testdata/results.tsv once and
 // compares its digest. A failure is a behaviour change: the point now
 // simulates to a different Result.
 func TestResultDigestsGolden(t *testing.T) {
-	pts := goldenPoints(t)
+	pts := gridPoints(t)
 	rows := make([]string, len(pts))
 	runJobs(len(pts), func(r *Runner, i int) {
 		rows[i] = pts[i].set + "\t" + pts[i].name + "\t" + resultDigest(r, pts[i].g)
 	})
+	ref := referenceDigests()
+	for _, p := range referencePoints() {
+		key := p.set + "\t" + p.name
+		rows = append(rows, key+"\t"+ref[key])
+	}
 	golden.Check(t, resultsFile, resultsHeader, rows, *update)
+}
+
+// setNames lists the point names of one reference set, in table order.
+func setNames(set string) []string {
+	var names []string
+	for _, p := range referencePoints() {
+		if p.set == set {
+			names = append(names, p.name)
+		}
+	}
+	return names
+}
+
+// checkReferenceRows compares the named rows of one reference set with the
+// table.
+func checkReferenceRows(t *testing.T, set string, names ...string) {
+	t.Helper()
+	ref := referenceDigests()
+	rows := make([]string, len(names))
+	for i, n := range names {
+		key := set + "\t" + n
+		d, ok := ref[key]
+		if !ok {
+			t.Fatalf("%s/%s is not a reference row", set, n)
+		}
+		rows[i] = key + "\t" + d
+	}
+	golden.CheckSubset(t, resultsFile, rows)
+}
+
+// The tests below each pin the rows one reference implementation was
+// compared on before it was deleted: the full-window issue scan, the
+// float-threshold walker, the two-ring front end and the per-instruction
+// power ledger. A row was written only when the fast path and every
+// reference, alone and together, gave its digest, so a row that still
+// matches means the fast path still gives that reference's Result.
+
+// TestEventIssueMatchesScanAllProfiles: the event-driven issue stage gives
+// the scan's Result on every profile under the baseline and C2.
+func TestEventIssueMatchesScanAllProfiles(t *testing.T) {
+	checkReferenceRows(t, "profiles", setNames("profiles")...)
+}
+
+// TestEventIssueMatchesScanAllPolicies: the same on go, gzip and twolf
+// under every referencePolicies entry.
+func TestEventIssueMatchesScanAllPolicies(t *testing.T) {
+	checkReferenceRows(t, "policies", setNames("policies")...)
+}
+
+// TestEventIssueMatchesScanStressShapes: the issue stage's corner cases — a
+// deep pipe (long latencies, wheel clamping), a tiny window (constant
+// back-pressure and flushes), perfect disambiguation (no store-queue walk)
+// and a narrow issue width (selection exhausts the width every cycle).
+func TestEventIssueMatchesScanStressShapes(t *testing.T) {
+	checkReferenceRows(t, "shapes", "go/depth28", "go/window16", "go/perfect-disambiguation", "go/issue2")
+}
+
+// TestFastWalkMatchesLegacyAllProfiles: the integer-threshold walker gives
+// the float-threshold walker's Result on every profile under the baseline
+// and C2.
+func TestFastWalkMatchesLegacyAllProfiles(t *testing.T) {
+	checkReferenceRows(t, "profiles", setNames("profiles")...)
+}
+
+// TestFastWalkMatchesLegacyAllPolicies: the same on go, gzip and twolf
+// under every referencePolicies entry.
+func TestFastWalkMatchesLegacyAllPolicies(t *testing.T) {
+	checkReferenceRows(t, "policies", setNames("policies")...)
+}
+
+// TestFusedFrontEndMatchesLegacyAllProfiles: the fused front-end delay line
+// gives the two-ring front end's Result on every profile under the baseline
+// and C2.
+func TestFusedFrontEndMatchesLegacyAllProfiles(t *testing.T) {
+	checkReferenceRows(t, "profiles", setNames("profiles")...)
+}
+
+// TestFusedFrontEndMatchesLegacyAllPolicies: the same on go, gzip and twolf
+// under every referencePolicies entry.
+func TestFusedFrontEndMatchesLegacyAllPolicies(t *testing.T) {
+	checkReferenceRows(t, "policies", setNames("policies")...)
+}
+
+// TestFusedFrontEndMatchesLegacyStressShapes: the front end's corner cases
+// — the minimum and maximum depths, groups straddling the decode boundary
+// (narrow fetch or decode), single-taken truncation and a tiny window
+// (constant back-pressure into the delay line).
+func TestFusedFrontEndMatchesLegacyStressShapes(t *testing.T) {
+	checkReferenceRows(t, "shapes", "go/depth6", "go/depth28", "go/fetch4", "go/decode2",
+		"go/fetch8-decode3-issue5", "go/taken1", "go/window16")
+}
+
+// TestFrontEndWalkerModeCross: twolf under C2, the row every pairing of the
+// two front ends with the two walkers gave.
+func TestFrontEndWalkerModeCross(t *testing.T) {
+	checkReferenceRows(t, "policies", "twolf/C2")
+}
+
+// TestEpochLedgerMatchesLegacyAllProfiles: the epoch-ledger power
+// attribution gives the per-instruction ledger's Result — the same per-unit
+// useful and wasted totals — on every profile under the baseline and C2.
+func TestEpochLedgerMatchesLegacyAllProfiles(t *testing.T) {
+	checkReferenceRows(t, "profiles", setNames("profiles")...)
+}
+
+// TestEpochLedgerMatchesLegacyAllPolicies: the same on go, gzip and twolf
+// under every referencePolicies entry.
+func TestEpochLedgerMatchesLegacyAllPolicies(t *testing.T) {
+	checkReferenceRows(t, "policies", setNames("policies")...)
+}
+
+// TestEpochLedgerMatchesLegacyStressShapes: the epoch machinery's corner
+// cases — the deepest pipe (maximal squash depth), the minimum depth
+// (epochs retiring almost at once), a tiny window (epochs folding every few
+// cycles), narrow widths (epochs straddling the decode boundary) and
+// single-taken truncation (many short groups per epoch).
+func TestEpochLedgerMatchesLegacyStressShapes(t *testing.T) {
+	checkReferenceRows(t, "shapes", "go/depth28", "go/depth6", "go/window16", "go/fetch4-decode2",
+		"go/fetch8-decode3-issue5", "go/taken1")
+}
+
+// TestLedgerFrontEndModeCross: twolf under C2, the row every pairing of the
+// two ledgers with the two front ends gave.
+func TestLedgerFrontEndModeCross(t *testing.T) {
+	checkReferenceRows(t, "policies", "twolf/C2")
 }
